@@ -15,7 +15,7 @@ from repro.baselines.drds import sequence_period
 from repro.core.epoch import EpochSchedule, rendezvous_bound
 from repro.core.primes import primes_in_range, smallest_prime_at_least
 from repro.core.ramsey import edge_color
-from repro.core.batch import ttr_sweep
+from repro.core.stream import ttr_sweep
 
 
 def test_ablation_color_choice(benchmark, record):

@@ -26,7 +26,7 @@ from repro.beacon import (
     SimpleBeaconProtocol,
     beacon_first_meeting,
 )
-from repro.core.batch import ttr_sweep
+from repro.core.stream import ttr_sweep
 from repro.sim.workloads import single_overlap
 
 N = 64

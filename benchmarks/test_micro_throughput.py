@@ -1,11 +1,11 @@
 """Micro-benchmarks: construction and evaluation throughput.
 
 Not a paper table — engineering numbers a downstream user cares about:
-how fast schedules are built and evaluated, and what the verification
-engine sustains.  ``test_batched_sweep_speedup`` is the acceptance gate
-for the batched engine: an exhaustive shift sweep at ``n = 64`` must run
-at least 5x faster than the scalar per-shift loop, and the measurement
-is persisted to ``results/BENCH_batched_sweep.json``.
+how fast schedules are built and evaluated, and what the sweep kernel
+sustains.  ``test_kernel_sweep_speedup`` is the acceptance gate for
+``ttr_sweep``: an exhaustive shift sweep at ``n = 64`` through the
+kernel must run at least 5x faster than the scalar per-shift loop, and
+the measurement is persisted to ``results/BENCH_kernel_sweep.json``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 import repro
 from repro.baselines.drds import build_global_sequence
-from repro.core.batch import ttr_sweep
+from repro.core.stream import ttr_sweep
 from repro.core.epoch import EpochSchedule
 from repro.core.pairwise import async_pair_string, pair_schedule_async
 from repro.core.ramsey import color_bits, edge_color
@@ -61,8 +61,8 @@ def test_verification_scan(benchmark):
     benchmark(lambda: ttr_for_shift(a, b, 17, 10_000))
 
 
-def test_batched_sweep_speedup(benchmark, record):
-    """Exhaustive shift sweep, scalar loop vs the batched engine."""
+def test_kernel_sweep_speedup(benchmark, record):
+    """Exhaustive shift sweep, scalar loop vs the sweep kernel."""
     n = 64
     instance = single_overlap(n, 3, 3, seed=2)
     a = repro.build_schedule(instance.sets[0], n)
@@ -82,32 +82,32 @@ def test_batched_sweep_speedup(benchmark, record):
             ttr_for_shift(a, b, s, horizon)
         scalar_seconds = min(scalar_seconds, time.perf_counter() - start)
 
-    batched = benchmark(lambda: ttr_sweep(a, b, shifts, horizon))
-    assert batched == scalar, "batched engine must be bit-identical to scalar"
+    kernel = benchmark(lambda: ttr_sweep(a, b, shifts, horizon))
+    assert kernel == scalar, "the sweep kernel must be bit-identical to scalar"
 
-    batched_seconds = benchmark.stats.stats.mean
-    speedup = scalar_seconds / batched_seconds
+    kernel_seconds = benchmark.stats.stats.mean
+    speedup = scalar_seconds / kernel_seconds
     payload = {
         "n": n,
         "workload": "single_overlap(k=l=3, seed=2)",
         "shifts": len(shifts),
         "horizon": horizon,
         "scalar_seconds": round(scalar_seconds, 6),
-        "batched_seconds": round(batched_seconds, 6),
+        "kernel_seconds": round(kernel_seconds, 6),
         "speedup": round(speedup, 2),
     }
     results_dir = Path(__file__).parent / "results"
     results_dir.mkdir(exist_ok=True)
-    (results_dir / "BENCH_batched_sweep.json").write_text(
+    (results_dir / "BENCH_kernel_sweep.json").write_text(
         json.dumps(payload, indent=2) + "\n"
     )
     record(
-        "micro_batched_sweep",
+        "micro_kernel_sweep",
         f"exhaustive sweep, n={n}, {len(shifts)} shifts: "
         f"scalar {scalar_seconds * 1e3:.1f} ms, "
-        f"batched {batched_seconds * 1e3:.1f} ms ({speedup:.1f}x)",
+        f"kernel {kernel_seconds * 1e3:.1f} ms ({speedup:.1f}x)",
     )
-    assert speedup >= 5, f"batched sweep only {speedup:.1f}x faster than scalar"
+    assert speedup >= 5, f"kernel sweep only {speedup:.1f}x faster than scalar"
 
 
 def test_drds_global_build(benchmark):

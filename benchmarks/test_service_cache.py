@@ -2,8 +2,8 @@
 
 The acceptance bench for ``repro.core.results``: the same worst-TTR
 pair query — a Theorem-7 ``single_overlap`` pair at ``n = 128`` under
-Jump-Stay, whose cubic period (6,692,790 slots — past the batched
-table limit, so the streaming engine does the work) makes the sweep a
+Jump-Stay, whose cubic period (6,692,790 slots — past the schedule
+cache limit, so the kernel generates its tiles on demand) makes the sweep a
 genuine compute — is answered twice through ``SweepRunner`` instances sharing
 one result-cache directory:
 

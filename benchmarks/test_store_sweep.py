@@ -20,8 +20,8 @@ Results are recorded to ``results/store_sweep.txt`` and
 measurements across all three paths and that the warm store is no
 slower than per-worker rebuilds.
 
-Historical note: before the streaming-engine PR vectorized DRDS table
-construction (closed-form projection of a shared global sequence), the
+Historical note: before DRDS table construction was vectorized
+(closed-form projection of a shared global sequence), the
 rebuild path cost ~3.5 s here and the warm store won by ~8x; the
 vectorization shrank the rebuild penalty itself, so the store's
 remaining margin on this workload is the global-sequence build and the

@@ -1,50 +1,48 @@
-"""The streaming engine measured: vs the scalar loop, and intra-pair parallel vs serial.
+"""The sweep kernel measured: vs the scalar loop, and 2 lanes vs 1 lane.
 
 The acceptance bench for ``repro.core.stream``: Jump-Stay is the
 baseline whose cubic global period made huge-universe sweeps
-unmeasurable — past ``BATCH_TABLE_LIMIT`` the only correct path used to
-be the scalar per-shift loop.  Three measurements are recorded to
+unmeasurable — beyond the schedule cache limit the only correct path
+used to be the scalar per-shift loop.  Two measurements are recorded to
 ``results/stream_sweep.txt`` / ``results/BENCH_stream_sweep.json``:
 
-* **both-engines regime** (``n = 64``, period 888,822 slots — under the
-  table limit): the streaming and batched profiles are asserted
-  bit-identical over the full strided shift set, and the streaming
-  engine is timed against the scalar reference on a shift subset (the
-  scalar loop is too slow for the full set — which is the point);
-* **intra-pair parallel regime** (``n = 128`` and ``n = 256`` — past
-  the table limit): one pair's sweep through the serial reference scan
-  (:func:`~repro.core.stream.ttr_sweep_stream_serial`, fixed 4 MiB
-  tiles, per-row gathers) against the blocked parallel scan
-  (:func:`~repro.core.stream.ttr_sweep_stream`, auto-tuned
-  :class:`~repro.core.stream.TilePlan`, vectorized ``channel_gather``
-  tile assembly, 4 thread lanes).  The speedup on a single core comes
-  from the tuned plan and the one-call tile gather; extra cores scale
-  it further because numpy releases the GIL inside the tile ops.
+* **kernel vs scalar** (``n = 64``, period 888,822 slots): the kernel
+  sweeps the full strided shift set, and is timed against the scalar
+  reference on a shift subset (the scalar loop is too slow for the
+  full set — which is the point);
+* **lanes** (``n = 128`` and ``n = 256``, strided ~2,000 classes): one
+  pair's sweep on 1 lane (the default) against 2 thread lanes, best of
+  :data:`ROUNDS` each.  Large strided sweeps over Jump-Stay's
+  closed-form ``channel_gather`` are the one shape where lanes pay —
+  numpy releases the GIL inside the tile gathers and compares.
 
 The gate asserts bit-identical profiles everywhere, a wall-clock win
-for streaming over the scalar loop, and a >= 2x intra-pair win for the
-parallel scan over the serial reference at ``n = 128``.
+for the kernel over the scalar loop, and — on machines with at least
+two CPUs — a >= 1.3x win for 2 lanes over 1 lane at ``n = 128``
+(measured 1.8–2.4x on a 2-CPU host; the margin absorbs shared-host
+noise).
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 from pathlib import Path
 
 import repro
-from repro.core.batch import BATCH_TABLE_LIMIT, ttr_sweep
-from repro.core.stream import plan_tiles, ttr_sweep_stream, ttr_sweep_stream_serial
+from repro.core.stream import plan_tiles, ttr_sweep
 from repro.core.verification import strided_shift_range, ttr_for_shift
 from repro.sim.workloads import single_overlap
 
-N_BOTH = 64
-PARALLEL_NS = (128, 256)
+N_SCALAR = 64
+LANE_NS = (128, 256)
 K = L = 3
 MAX_SHIFTS = 2_000
 SCALAR_SUBSET = 48  # shifts the scalar loop is timed on
-STREAM_WORKERS = 4
-MIN_INTRA_PAIR_SPEEDUP = 2.0  # gate at n = 128
+LANES = 2
+ROUNDS = 3
+MIN_LANE_SPEEDUP = 1.3  # gate at n = 128, 2 lanes vs 1
 
 
 def _build(n: int):
@@ -54,133 +52,120 @@ def _build(n: int):
     return a, b
 
 
-def _measure_intra_pair(n: int) -> dict:
-    """One pair at universe ``n``: serial reference vs parallel scan."""
+def _best_of(fn):
+    """``(result, best wall seconds)`` over :data:`ROUNDS` calls."""
+    best = float("inf")
+    for _ in range(ROUNDS):
+        start = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - start)
+    return result, best
+
+
+def _measure_lanes(n: int) -> dict:
+    """One pair at universe ``n``: 1 lane vs :data:`LANES` lanes."""
     a, b = _build(n)
-    assert max(a.period, b.period) > BATCH_TABLE_LIMIT
     shifts = list(strided_shift_range(a, b, MAX_SHIFTS))
     horizon = 4 * max(a.period, b.period)
-
-    start = time.perf_counter()
-    serial = ttr_sweep_stream_serial(a, b, shifts, horizon)
-    serial_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    parallel_one = ttr_sweep_stream(a, b, shifts, horizon, workers=1)
-    one_lane_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    parallel = ttr_sweep_stream(a, b, shifts, horizon, workers=STREAM_WORKERS)
-    parallel_seconds = time.perf_counter() - start
-
-    assert parallel == serial == parallel_one, (
-        "parallel and serial streams must be bit-identical"
+    one, one_seconds = _best_of(lambda: ttr_sweep(a, b, shifts, horizon))
+    laned, laned_seconds = _best_of(
+        lambda: ttr_sweep(a, b, shifts, horizon, stream_workers=LANES)
     )
-    assert all(t is not None for t in parallel.values())
-    plan = plan_tiles(len(shifts), horizon, workers=STREAM_WORKERS)
+    assert laned == one, "lane counts must be bit-identical"
+    assert all(t is not None for t in one.values())
+    plan = plan_tiles(len(shifts), horizon, workers=LANES)
     return {
         "n": n,
         "period": a.period,
         "shifts": len(shifts),
-        "worst_ttr": int(max(parallel.values())),
-        "serial_seconds": round(serial_seconds, 4),
-        "blocked_1worker_seconds": round(one_lane_seconds, 4),
-        "parallel_seconds": round(parallel_seconds, 4),
-        "workers": STREAM_WORKERS,
+        "sampled_max_ttr": int(max(one.values())),
+        "one_lane_seconds": round(one_seconds, 4),
+        "laned_seconds": round(laned_seconds, 4),
+        "lanes": LANES,
         "tile_plan": {
             "tile_bytes": plan.tile_bytes,
             "block_rows": plan.block_rows,
             "workers": plan.workers,
         },
-        "intra_pair_speedup": round(serial_seconds / parallel_seconds, 2),
+        "lane_speedup": round(one_seconds / laned_seconds, 2),
         "parity_bit_identical": True,
     }
 
 
 def test_stream_vs_scalar_and_intra_pair_parallel(benchmark, record):
     """Recorded wall-clock comparisons + the bit-identical parity gates."""
-    a, b = _build(N_BOTH)
-    assert max(a.period, b.period) <= BATCH_TABLE_LIMIT
+    a, b = _build(N_SCALAR)
     shifts = list(strided_shift_range(a, b, MAX_SHIFTS))
     horizon = 4 * max(a.period, b.period)
 
     start = time.perf_counter()
-    streamed = ttr_sweep(a, b, shifts, horizon, engine="stream")
-    stream_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    batched = ttr_sweep(a, b, shifts, horizon, engine="batched")
-    batched_seconds = time.perf_counter() - start
-    assert streamed == batched, "stream and batched profiles must be bit-identical"
+    swept = ttr_sweep(a, b, shifts, horizon)
+    sweep_seconds = time.perf_counter() - start
 
     subset = shifts[:: max(1, len(shifts) // SCALAR_SUBSET)]
     start = time.perf_counter()
     scalar = {s: ttr_for_shift(a, b, s, horizon) for s in subset}
     scalar_seconds = time.perf_counter() - start
     start = time.perf_counter()
-    stream_subset = ttr_sweep(a, b, subset, horizon, engine="stream")
-    stream_subset_seconds = time.perf_counter() - start
-    assert stream_subset == scalar
+    kernel_subset = ttr_sweep(a, b, subset, horizon)
+    kernel_subset_seconds = time.perf_counter() - start
+    assert kernel_subset == scalar
+    assert {s: swept[s] for s in subset} == scalar
 
-    def intra_pair_rows():
-        return [_measure_intra_pair(n) for n in PARALLEL_NS]
+    def lane_rows():
+        return [_measure_lanes(n) for n in LANE_NS]
 
-    intra_pair = benchmark.pedantic(intra_pair_rows, rounds=1, iterations=1)
+    lanes = benchmark.pedantic(lane_rows, rounds=1, iterations=1)
 
-    speedup = scalar_seconds / stream_subset_seconds
+    speedup = scalar_seconds / kernel_subset_seconds
     payload = {
         "algorithm": "jump-stay",
         "workload": f"single_overlap(k=l={K}, seed=0)",
-        "both_engines_n": N_BOTH,
-        "both_engines_period": a.period,
+        "scalar_n": N_SCALAR,
+        "scalar_period": a.period,
         "shifts": len(shifts),
-        "stream_seconds": round(stream_seconds, 4),
-        "batched_seconds": round(batched_seconds, 4),
-        "parity_bit_identical": True,
+        "sweep_seconds": round(sweep_seconds, 4),
         "scalar_subset_shifts": len(subset),
         "scalar_subset_seconds": round(scalar_seconds, 4),
-        "stream_subset_seconds": round(stream_subset_seconds, 4),
-        "stream_vs_scalar_speedup": round(speedup, 2),
-        "intra_pair": intra_pair,
+        "kernel_subset_seconds": round(kernel_subset_seconds, 4),
+        "kernel_vs_scalar_speedup": round(speedup, 2),
+        "cpus": os.cpu_count(),
+        "lanes": lanes,
     }
     results_dir = Path(__file__).parent / "results"
     results_dir.mkdir(exist_ok=True)
     (results_dir / "BENCH_stream_sweep.json").write_text(
         json.dumps(payload, indent=2) + "\n"
     )
-    intra_lines = "".join(
-        f"  n={row['n']} (period {row['period']}, {row['shifts']} shifts, "
-        f"worst TTR {row['worst_ttr']})\n"
-        f"    serial reference     {row['serial_seconds']:8.3f} s\n"
-        f"    blocked, 1 worker    {row['blocked_1worker_seconds']:8.3f} s\n"
-        f"    blocked, {row['workers']} workers   {row['parallel_seconds']:8.3f} s  "
-        f"({row['intra_pair_speedup']:.1f}x intra-pair, tile "
+    lane_lines = "".join(
+        f"  n={row['n']} (period {row['period']}, {row['shifts']} strided "
+        f"shifts, sampled max TTR {row['sampled_max_ttr']})\n"
+        f"    1 lane               {row['one_lane_seconds']:8.3f} s\n"
+        f"    {row['lanes']} lanes              {row['laned_seconds']:8.3f} s  "
+        f"({row['lane_speedup']:.2f}x, tile "
         f"{row['tile_plan']['tile_bytes'] >> 10} KiB x "
         f"{row['tile_plan']['block_rows']} rows)\n"
-        for row in intra_pair
+        for row in lanes
     )
     record(
         "stream_sweep",
         f"Jump-Stay shift sweeps (single-overlap k=l={K}):\n"
-        f"  n={N_BOTH} (period {a.period}, both engines, {len(shifts)} shifts)\n"
-        f"    streaming            {stream_seconds:8.3f} s\n"
-        f"    batched              {batched_seconds:8.3f} s  (bit-identical)\n"
+        f"  n={N_SCALAR} (period {a.period}, {len(shifts)} strided shifts)\n"
+        f"    kernel               {sweep_seconds:8.3f} s\n"
         f"    scalar, {len(subset):4d} shifts  {scalar_seconds:8.3f} s\n"
-        f"    stream, {len(subset):4d} shifts  {stream_subset_seconds:8.3f} s  "
+        f"    kernel, {len(subset):4d} shifts  {kernel_subset_seconds:8.3f} s  "
         f"({speedup:.1f}x over scalar)\n"
-        f"{intra_lines}"
-        "serial reference = ttr_sweep_stream_serial (fixed 4 MiB tiles, "
-        "per-row gathers);\nblocked = ttr_sweep_stream (auto-tuned tile "
-        "plan, vectorized channel_gather tiles,\nthread lanes over "
-        "independent shift blocks) — all profiles bit-identical",
+        f"{lane_lines}"
+        f"best of {ROUNDS} per lane count on {os.cpu_count()} CPUs; "
+        "all profiles bit-identical",
     )
     assert speedup > 1.0, (
-        f"streaming must beat the scalar loop, got {speedup:.2f}x "
-        f"({scalar_seconds:.3f}s vs {stream_subset_seconds:.3f}s)"
+        f"the kernel must beat the scalar loop, got {speedup:.2f}x "
+        f"({scalar_seconds:.3f}s vs {kernel_subset_seconds:.3f}s)"
     )
-    gate = intra_pair[0]
-    assert gate["intra_pair_speedup"] >= MIN_INTRA_PAIR_SPEEDUP, (
-        f"parallel stream must win >= {MIN_INTRA_PAIR_SPEEDUP}x over the "
-        f"serial reference at n={gate['n']} with {STREAM_WORKERS} workers, "
-        f"got {gate['intra_pair_speedup']}x"
-    )
+    gate = lanes[0]
+    if (os.cpu_count() or 1) >= LANES:
+        assert gate["lane_speedup"] >= MIN_LANE_SPEEDUP, (
+            f"{LANES} lanes must win >= {MIN_LANE_SPEEDUP}x over 1 lane at "
+            f"n={gate['n']}, got {gate['lane_speedup']}x"
+        )

@@ -41,19 +41,15 @@ MAX_SHIFTS = 40_000
 
 # The dense-universe extension (ROADMAP): periods get expensive here,
 # so schedules come out of a shared ScheduleStore (each table is
-# materialized once per bench run).  Jump-Stay — whose cubic period
-# exceeds the batched engine's table limit from n = 128 on — is
-# measured through the streaming tiled engine (repro.core.stream),
-# which generates its coincidence tiles on demand; everywhere both
-# engines can run, their profiles are asserted bit-identical.
+# materialized once per bench run).  Jump-Stay's cubic period exceeds
+# the schedule cache limit from n = 128 on; the sweep kernel
+# (repro.core.stream) generates its tiles on demand, so every cell is
+# measured the same way, and every cell's kernel profile is checked
+# against the scalar ttr_for_shift on a sample of its shifts.
 NS_LARGE = (64, 128, 256)
 LARGE_MEASURED = ("paper", "crseq", "drds", "zos", "jump-stay")
-#: Engine override per algorithm: Jump-Stay's measured column is the
-#: streaming engine's product at every size (auto would pick the
-#: batched path at n = 64).
-LARGE_ENGINES = {"jump-stay": "stream"}
 MAX_SHIFTS_LARGE = 10_000
-PARITY_STRIDE = 20  # both-engine parity asserted on every 20th shift
+PARITY_STRIDE = 20  # scalar parity asserted on every 20th shift
 
 
 def _schedules(algorithm: str, n: int, seed: int):
@@ -169,34 +165,32 @@ def test_table1_asymmetric_large_universe(benchmark, record, tmp_path):
         result: dict[str, dict[int, int]] = {}
         for algorithm in LARGE_MEASURED:
             result[algorithm] = {}
-            engine = LARGE_ENGINES.get(algorithm, "auto")
             for n in NS_LARGE:
                 a, b = build(algorithm, n)
                 shifts = strided_shift_range(a, b, MAX_SHIFTS_LARGE)
                 result[algorithm][n] = max_ttr(
-                    a, b, shifts, 4 * max(a.period, b.period), engine=engine
+                    a, b, shifts, 4 * max(a.period, b.period)
                 )
         return result
 
     measured = benchmark.pedantic(measure, rounds=1, iterations=1)
 
-    # Wherever both engines can run, their profiles must be
-    # bit-identical.  Verification-only work, kept outside the timed
-    # callable so the recorded wall clock stays a measurement.
-    from repro.core.batch import BATCH_TABLE_LIMIT, ttr_sweep
+    # Every cell's kernel profile must equal the scalar reference on a
+    # sample of its shifts.  Verification-only work, kept outside the
+    # timed callable so the recorded wall clock stays a measurement.
+    from repro.core.stream import ttr_sweep
+    from repro.core.verification import ttr_for_shift
 
     parity_checked: list[str] = []
     for algorithm in LARGE_MEASURED:
         for n in NS_LARGE:
             a, b = build(algorithm, n)
-            if max(a.period, b.period) > BATCH_TABLE_LIMIT:
-                continue
             shifts = strided_shift_range(a, b, MAX_SHIFTS_LARGE)
             probe = list(shifts)[::PARITY_STRIDE]
             horizon = 4 * max(a.period, b.period)
-            assert ttr_sweep(a, b, probe, horizon, engine="stream") == ttr_sweep(
-                a, b, probe, horizon, engine="batched"
-            ), (algorithm, n)
+            assert ttr_sweep(a, b, probe, horizon) == {
+                s: ttr_for_shift(a, b, s, horizon) for s in probe
+            }, (algorithm, n)
             parity_checked.append(f"{algorithm}@{n}")
 
     exponents = {
@@ -223,12 +217,12 @@ def test_table1_asymmetric_large_universe(benchmark, record, tmp_path):
     ]
     lines += [
         "",
-        "jump-stay's measured column is produced by the streaming tiled "
-        "engine (its cubic",
-        "period exceeds the batch table limit from n = 128 on); "
-        f"stream/batched parity was",
-        f"asserted bit-identical on {len(parity_checked)} "
-        f"algorithm@n cells: {', '.join(parity_checked)}",
+        "every cell is swept by the kernel (jump-stay's cubic period "
+        "exceeds the schedule",
+        "cache limit from n = 128 on, so its tiles are generated on "
+        "demand); kernel/scalar",
+        f"parity was asserted on every {PARITY_STRIDE}th shift of "
+        f"{len(parity_checked)} algorithm@n cells: {', '.join(parity_checked)}",
         "",
         f"schedule store: {stats['builds']} tables built once "
         f"(+{stats['global_builds']} shared DRDS global), "
@@ -247,10 +241,7 @@ def test_table1_asymmetric_large_universe(benchmark, record, tmp_path):
         "workload": "single_overlap(k=l=3, seed=0)",
         "shift_classes": f"two-sided strided, ~{MAX_SHIFTS_LARGE}",
         "measured_worst_ttr": measured,
-        "measured_engines": {
-            a: LARGE_ENGINES.get(a, "auto") for a in LARGE_MEASURED
-        },
-        "stream_batched_parity_bit_identical": parity_checked,
+        "kernel_scalar_parity_checked": parity_checked,
         "measured_exponents": {a: round(e, 2) for a, e in exponents.items()},
         "envelope_exponents": {
             a: round(e, 2) for a, e in envelope_exponents.items()
@@ -273,7 +264,7 @@ def test_table1_asymmetric_large_universe(benchmark, record, tmp_path):
     paper = [measured["paper"][n] for n in NS_LARGE]
     assert max(paper) <= 4 * min(paper), paper
     # Jump-Stay's measured column exists at every large size now that
-    # the streaming engine sweeps its cubic period, and its measured
+    # the kernel sweeps its cubic period, and its measured
     # growth stays below the cubic envelope on these instances.
     assert set(measured["jump-stay"]) == set(NS_LARGE)
     assert exponents["jump-stay"] < envelope_exponents["jump-stay"]

@@ -16,7 +16,7 @@ import pytest
 
 import repro
 from repro.analysis.tables import scaling_exponent, table1
-from repro.core.batch import ttr_sweep
+from repro.core.stream import ttr_sweep
 from repro.core.store import ScheduleStore
 from repro.core.verification import max_ttr
 from repro.sim.workloads import symmetric
@@ -29,7 +29,7 @@ _CLAIM_KEY = {"paper-symmetric": "paper"}
 # Dense-universe extension: schedules come out of a shared
 # ScheduleStore (both agents share one channel set, so each table is
 # built once and attached once); Jump-Stay drops out — its cubic
-# period exceeds the batch table limit from n = 128 on.
+# period exceeds the schedule cache limit from n = 128 on.
 NS_LARGE = (64, 128, 256)
 ALGORITHMS_LARGE = ("paper-symmetric", "crseq", "drds", "zos")
 
@@ -112,7 +112,7 @@ def test_table1_symmetric_large_universe(benchmark, record, tmp_path):
     lines = [
         f"Table 1 (symmetric) at large universes: worst TTR over dense "
         f"shifts, |S|={K} (jump-stay omitted: cubic period exceeds the "
-        "batch table limit)",
+        "schedule cache limit)",
         table1(measured, "symmetric", NS_LARGE),
         "",
         "fitted scaling exponents:",

@@ -1,4 +1,4 @@
-"""Gate: disabled telemetry costs < 2% of the intra-pair stream sweep.
+"""Gate: disabled telemetry costs < 2% of a one-lane kernel sweep.
 
 The telemetry layer's first contract (see :mod:`repro.core.telemetry`)
 is zero overhead when disabled.  This bench certifies it on the exact
@@ -9,8 +9,9 @@ strided shift plan — by combining two measurements:
 * the **per-call cost** of a disabled span (enter + ``add_bytes`` +
   exit on the shared no-op singleton), timed over a 200k-call burst;
 * the **call count** an enabled run of the same sweep actually makes
-  (every span occurrence plus every counter bump, read from the
-  enabled run's snapshot).
+  (every span occurrence, read from the enabled run's snapshot, plus
+  every ``count`` / ``gauge`` call, counted at the call site — a
+  counter's value sums its deltas, so it is not a call count).
 
 Their product is the total time the disabled instrumentation adds to
 the sweep; the gate holds it under 2% of the sweep's measured wall
@@ -32,7 +33,7 @@ from pathlib import Path
 
 import repro
 from repro.core import telemetry
-from repro.core.stream import ttr_sweep_stream
+from repro.core.stream import ttr_sweep
 from repro.core.verification import strided_shift_range
 from repro.sim.workloads import single_overlap
 
@@ -61,7 +62,7 @@ def _null_span_seconds(calls: int) -> float:
     return time.perf_counter() - start
 
 
-def test_disabled_telemetry_overhead_under_gate(benchmark, record):
+def test_disabled_telemetry_overhead_under_gate(benchmark, record, monkeypatch):
     """Product-form overhead gate + parity + assembly-dominant profile."""
     instance = single_overlap(N, K, L, seed=0)
     a = repro.build_schedule(instance.sets[0], N, algorithm="jump-stay")
@@ -70,20 +71,32 @@ def test_disabled_telemetry_overhead_under_gate(benchmark, record):
     horizon = 4 * max(a.period, b.period)
 
     # Enabled run: the result for parity plus the instrumented call
-    # census (spans and counter bumps the sweep actually performs).
+    # census (span occurrences and counter/gauge calls the sweep makes).
+    counter_calls = 0
+
+    def counted(record_fn):
+        def call(*args, **kwargs):
+            nonlocal counter_calls
+            counter_calls += 1
+            return record_fn(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(telemetry, "count", counted(telemetry.count))
+    monkeypatch.setattr(telemetry, "gauge", counted(telemetry.gauge))
     telemetry.enable()
     telemetry.reset()
-    enabled_profile = ttr_sweep_stream(a, b, shifts, horizon, workers=1)
+    enabled_profile = ttr_sweep(a, b, shifts, horizon)
     snap = telemetry.snapshot()
     telemetry.disable()
     telemetry.reset()
+    monkeypatch.undo()
     span_calls = _sum_calls(snap["spans"])
-    counter_bumps = sum(snap["counters"].values())
-    instrumented_calls = span_calls + counter_bumps
+    instrumented_calls = span_calls + counter_calls
 
     # Disabled run: the production configuration, timed.
     def disabled_sweep():
-        return ttr_sweep_stream(a, b, shifts, horizon, workers=1)
+        return ttr_sweep(a, b, shifts, horizon)
 
     start = time.perf_counter()
     disabled_profile = benchmark.pedantic(disabled_sweep, rounds=1, iterations=1)
@@ -110,7 +123,7 @@ def test_disabled_telemetry_overhead_under_gate(benchmark, record):
     assembly = sweep_node["children"]["stream.tile_assembly"]
     compare = sweep_node["children"]["stream.compare"]
     assert assembly["seconds"] >= compare["seconds"], (
-        "tile assembly should dominate compare on the stream engine"
+        "tile assembly should dominate compare in the kernel"
     )
 
     payload = {
@@ -120,7 +133,7 @@ def test_disabled_telemetry_overhead_under_gate(benchmark, record):
         "sweep_seconds_disabled": round(sweep_seconds, 4),
         "instrumented_calls": instrumented_calls,
         "span_calls": span_calls,
-        "counter_bumps": counter_bumps,
+        "counter_calls": counter_calls,
         "null_span_ns_per_call": round(per_call * 1e9, 1),
         "overhead_seconds": round(overhead_seconds, 6),
         "overhead_fraction": round(overhead_fraction, 6),
@@ -136,11 +149,11 @@ def test_disabled_telemetry_overhead_under_gate(benchmark, record):
     )
     record(
         "telemetry_overhead",
-        f"Disabled-telemetry overhead (stream sweep, n={N}, "
+        f"Disabled-telemetry overhead (kernel sweep, n={N}, "
         f"{len(shifts)} shifts):\n"
         f"  sweep wall time        {sweep_seconds:8.3f} s\n"
         f"  instrumented calls     {instrumented_calls:8d}  "
-        f"({span_calls} spans + {counter_bumps} counter bumps)\n"
+        f"({span_calls} spans + {counter_calls} counter/gauge calls)\n"
         f"  no-op span cost        {per_call * 1e9:8.1f} ns/call\n"
         f"  implied overhead       {100 * overhead_fraction:8.3f} %  "
         f"(gate {100 * MAX_OVERHEAD_FRACTION:.0f}%)\n"

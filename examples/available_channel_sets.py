@@ -7,7 +7,7 @@ universe size ``n`` — the same ``|S| << n`` regime the paper's
 construction targets.  This example sweeps the overlap fraction ``rho``
 of the new ``available_overlap`` workload and pits every registered
 deterministic algorithm against the adversarial single-common-channel
-family, using one batched sweep per pair.
+family, using one shift sweep per pair.
 
 Run:  python examples/available_channel_sets.py
 """

@@ -20,7 +20,7 @@ from repro.beacon import (
     SimpleBeaconProtocol,
     beacon_first_meeting,
 )
-from repro.core.batch import ttr_sweep
+from repro.core.stream import ttr_sweep
 from repro.sim import single_overlap
 
 

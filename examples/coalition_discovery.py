@@ -83,8 +83,8 @@ def main() -> None:
 
     # Averages hide the story: the paper's contribution is the worst-case
     # guarantee.  Probe one cross-band pair over many relative wake-up
-    # shifts (one batched sweep per algorithm) and report the worst TTR.
-    from repro.core.batch import ttr_sweep
+    # shifts (one sweep per algorithm) and report the worst TTR.
+    from repro.core.stream import ttr_sweep
     from repro.sim import summarize_profile
 
     i, j = next(

@@ -3,9 +3,9 @@
 Builds the paper's Theorem 3 schedules for two agents with different
 channel sets and wake-up times, simulates them, and prints when and where
 they meet — plus the worst case over every small relative shift, compared
-against the analytic bound, and a first look at the sweep-engine tuning
-knobs (engine selection, tile budget, intra-pair worker lanes) that
-docs/TUNING.md teaches in full.
+against the analytic bound, and a first look at the sweep tuning knobs
+(tile budget, intra-pair worker lanes) that docs/TUNING.md teaches in
+full.
 
 Run:  python examples/quickstart.py
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import repro
 from repro.analysis import walk_plot
-from repro.core.batch import ttr_sweep
+from repro.core.stream import ttr_sweep
 from repro.core.epoch import rendezvous_bound
 from repro.core.pairwise import async_pair_string
 from repro.core.ramsey import color_bits, edge_color
@@ -48,22 +48,21 @@ def main() -> None:
           f"(TTR {event.ttr} slots after both awake)")
 
     # --- worst case over shifts vs the analytic bound -------------------
-    # max_ttr sweeps every shift in one batched pass (repro.core.batch);
+    # max_ttr sweeps every shift in one pass (repro.core.stream);
     # ttr_sweep exposes the full profile when the distribution matters.
     bound = rendezvous_bound(alice, bob)
     worst = repro.max_ttr(alice, bob, range(0, 2000, 7), horizon=bound + 1)
     print(f"worst TTR over sampled shifts: {worst}  (analytic bound {bound})")
 
     # --- the tuning knobs, in one breath (full guide: docs/TUNING.md) --
-    # engine="auto" dispatches on period size (scalar / batched table /
-    # streaming tiles); every engine and knob setting is bit-identical,
-    # so forcing the streaming engine with explicit lanes and a pinned
-    # tile budget must reproduce the default profile exactly.
+    # ttr_sweep runs the scalar loop for tiny joint periods and one
+    # blocked kernel otherwise, on one lane; no knob changes a result,
+    # so explicit lanes and a pinned tile budget must reproduce the
+    # default profile exactly.
     shifts = list(range(0, 2000, 7))
     default_profile = ttr_sweep(alice, bob, shifts, bound + 1)
     streamed = ttr_sweep(
-        alice, bob, shifts, bound + 1,
-        engine="stream", stream_workers=2, tile_bytes=65536,
+        alice, bob, shifts, bound + 1, stream_workers=2, tile_bytes=65536,
     )
     assert streamed == default_profile, "knobs must never change results"
     plan = plan_tiles(len(shifts), bound + 1, workers=2)

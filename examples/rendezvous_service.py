@@ -102,7 +102,7 @@ def main() -> None:
         other = single_overlap(N, 6, 4, seed=7)
         doomed = SweepRunner(
             workers=1, results=results_dir, checkpoint_dir=ckpt_dir,
-            engine="stream", tile_bytes=64,
+            tile_bytes=64,
         )
         runner_module.SweepCheckpoint = DyingCheckpoint
         try:
@@ -119,7 +119,7 @@ def main() -> None:
         # --- 4. resume from the snapshot ------------------------------
         resumer = SweepRunner(
             workers=1, results=results_dir, checkpoint_dir=ckpt_dir,
-            engine="stream", tile_bytes=64,
+            tile_bytes=64,
         )
         resumed = resumer.measure_pair(other, ALGORITHM, (0, 1), HORIZON, **SWEEP)
         reference = SweepRunner(workers=1).measure_pair(

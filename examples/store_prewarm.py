@@ -9,10 +9,10 @@ store lifecycle end to end:
 1. prewarm: materialize each distinct table exactly once;
 2. sweep: the runner (and all of its workers) attach read-only memmaps;
 3. resweep: a fresh runner starts warm — zero builds anywhere;
-4. tune: the same sweep through the streaming engine with explicit
-   intra-pair worker lanes and tile budget — bit-identical results
-   (the runner budgets `workers` across pairs vs within a pair; see
-   docs/TUNING.md);
+4. tune: the same sweep with explicit intra-pair worker lanes and an
+   auto-tuned tile budget — bit-identical results (the runner spends
+   `workers` on processes across pairs; lanes within a pair are an
+   opt-in, see docs/TUNING.md);
 5. inspect and evict.
 
 The CLI equivalents:
@@ -22,7 +22,7 @@ The CLI equivalents:
     python -m repro sweep --agents ... --universe 128 \\
         --algorithm drds --store-dir .schedules --workers 0
     python -m repro sweep --agents ... --universe 128 \\
-        --algorithm drds --store-dir .schedules --engine stream \\
+        --algorithm drds --store-dir .schedules \\
         --stream-workers 2 --tile-bytes auto
     python -m repro store inspect --store-dir .schedules
     python -m repro store evict --store-dir .schedules --all
@@ -90,20 +90,20 @@ def main() -> None:
             f"({again.store.builds} builds, {again.store.attaches} attaches)\n"
         )
 
-        # --- 4. the engine/tile knobs ride the same store -------------
-        # Forcing the streaming engine (tiles gathered straight off the
-        # attached memmaps) with 2 intra-pair lanes and an auto-tuned
-        # tile plan must reproduce the measurements bit-identically —
-        # knobs move wall-clock, never results.  worker_budget shows
-        # how a runner splits its budget across vs within pairs.
+        # --- 4. the lane/tile knobs ride the same store ---------------
+        # The kernel gathers tiles straight off the attached memmaps;
+        # 2 intra-pair lanes and an auto-tuned tile plan must reproduce
+        # the measurements bit-identically — knobs move wall-clock,
+        # never results.  worker_budget shows how a runner splits its
+        # budget into processes and lanes.
         tuned = SweepRunner(
             workers=1, store=ScheduleStore(store_dir),
-            engine="stream", stream_workers=2, tile_bytes=None,
+            stream_workers=2, tile_bytes=None,
         )
         retuned = tuned.measure_instance(
             instance, ALGORITHM, HORIZON, dense=8, probes=8
         )
-        assert retuned == measured, "engine/tile knobs must not change results"
+        assert retuned == measured, "lane/tile knobs must not change results"
         budgeted = SweepRunner(workers=8)
         pairs = len(instance.overlapping_pairs())
         print(

@@ -38,7 +38,7 @@ from repro.core import (
     rendezvous_bound,
     sync_period,
 )
-from repro.core.batch import ttr_sweep
+from repro.core.stream import ttr_sweep
 from repro.core.verification import (
     first_rendezvous,
     max_ttr,

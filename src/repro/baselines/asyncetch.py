@@ -108,7 +108,7 @@ def asyncetch_global_block(start: int, stop: int, prime: int) -> np.ndarray:
     """Global AsyncETCH channels for slots ``start .. stop-1``, vectorized.
 
     The closed form of :func:`asyncetch_global_channel` over a whole
-    window — the chunk source for the streaming engine's tiles.
+    window — the chunk source for the sweep kernel's tiles.
     """
     if stop < start:
         raise ValueError(f"empty window: start={start}, stop={stop}")

@@ -69,7 +69,7 @@ def crseq_global_block(start: int, stop: int, prime: int) -> np.ndarray:
     """Global CRSEQ channels for slots ``start .. stop-1``, vectorized.
 
     The closed form of :func:`crseq_global_channel` over a whole window
-    — the chunk source for the streaming engine's tiles.
+    — the chunk source for the sweep kernel's tiles.
     """
     if stop < start:
         raise ValueError(f"empty window: start={start}, stop={stop}")

@@ -225,7 +225,7 @@ class DRDSSchedule(Schedule):
     def channel_block(self, start: int, stop: int) -> np.ndarray:
         """Vectorized window: one gather from the global sequence,
         projected — no per-slot Python dispatch, and no per-set table
-        when the window feeds the streaming engine."""
+        when the window feeds the sweep kernel."""
         if stop < start:
             raise ValueError(f"empty window: start={start}, stop={stop}")
         lo = start % self.period

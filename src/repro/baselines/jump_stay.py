@@ -70,7 +70,7 @@ def jump_stay_global_block(start: int, stop: int, prime: int) -> np.ndarray:
     """Global Jump-Stay channels for slots ``start .. stop-1``, vectorized.
 
     The closed form of :func:`jump_stay_global_channel` over a whole
-    window — the streaming engine generates its tiles from this, so
+    window — the sweep kernel generates its tiles from this, so
     Jump-Stay's cubic period never needs to be materialized.
     """
     if stop < start:
@@ -105,8 +105,8 @@ class JumpStaySchedule(Schedule):
     def channel_block(self, start: int, stop: int) -> np.ndarray:
         """Vectorized window: closed-form global channels, projected.
 
-        This is what keeps Jump-Stay streamable past ``n = 128``, where
-        its cubic period exceeds the batched engine's table limit.
+        This is what keeps Jump-Stay sweepable past ``n = 128``, where
+        its cubic period exceeds the schedule cache limit.
         """
         raw = jump_stay_global_block(start, stop, self.prime) % self.n
         return project_onto_available(raw, self.sorted_channels)
@@ -114,7 +114,7 @@ class JumpStaySchedule(Schedule):
     def channel_gather(self, indices: np.ndarray) -> np.ndarray:
         """Vectorized scattered access: closed-form channels, projected.
 
-        A whole ``(shift row, time)`` tile of the streaming engine costs
+        A whole ``(shift row, time)`` tile of the sweep kernel costs
         one closed-form evaluation and one projection pass, instead of
         one ``channel_block`` call (and one ``np.isin``) per row.
         """

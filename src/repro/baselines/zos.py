@@ -141,8 +141,8 @@ class ZOSSchedule(Schedule):
     def channel_block(self, start: int, stop: int) -> np.ndarray:
         """Vectorized window: the Z/O/S anatomy evaluated in closed form.
 
-        Lets the streaming engine sweep ZOS at set sizes whose
-        ``Theta(m^3)`` period exceeds the batched engine's table limit.
+        Lets the sweep kernel sweep ZOS at set sizes whose
+        ``Theta(m^3)`` period exceeds the schedule cache limit.
         """
         if stop < start:
             raise ValueError(f"empty window: start={start}, stop={stop}")
@@ -173,9 +173,9 @@ class ZOSSchedule(Schedule):
 
         Assembles the ``(round, slot)`` matrix in one shot: the Z and S
         columns broadcast from per-round scalars, the O columns gather
-        from the residue lookup — no per-slot Python dispatch, so the
-        batched verification engine gets its table in milliseconds even
-        at the ``Theta(m^3)`` period.
+        from the residue lookup — no per-slot Python dispatch, so a
+        period table (for the schedule store or the generic chunk
+        fallbacks) takes milliseconds even at the ``Theta(m^3)`` period.
         """
         p = self.prime
         rounds = p * (p - 1)

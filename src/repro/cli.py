@@ -11,13 +11,13 @@ numbers without writing Python:
     python -m repro netsim --workload random_subsets --universe 12 --agents 600 --certify 50
     python -m repro netsim --workload whitespace --universe 24 --agents 2000 --churn 0.2 --json
     python -m repro sweep --agents 3,17,40/17,58/3,58 --universe 64
-    python -m repro sweep --agents ... --universe 64 --engine stream --tile-bytes 65536
-    python -m repro sweep --agents ... --universe 64 --engine stream --stream-workers 4 --tile-bytes auto
+    python -m repro sweep --agents ... --universe 64 --tile-bytes 65536
+    python -m repro sweep --agents ... --universe 64 --stream-workers 2 --tile-bytes auto
     python -m repro sweep --agents ... --universe 64 --store-dir .schedules --store-cap 1000000
     python -m repro sweep --agents ... --universe 64 --checkpoint-dir .ckpt --resume
     python -m repro sweep --agents ... --universe 64 --environment pu-churn:rate=0.1,seed=7
     python -m repro sweep --agents ... --universe 64 --environment fading:p=0.05 --degradation 4000
-    python -m repro sweep --agents ... --universe 64 --engine stream --telemetry text
+    python -m repro sweep --agents ... --universe 64 --telemetry text
     python -m repro serve --a 3,17,40 --b 17,58 --universe 64 --results-dir .results
     python -m repro serve --a ... --b ... --universe 64 --results-dir .results --json
     python -m repro store prewarm --agents ... --universe 64 --store-dir .schedules
@@ -86,7 +86,7 @@ def _parse_agents(text: str) -> list[list[int]]:
 
 
 def _parse_stream_workers(text: str) -> int:
-    """A nonnegative lane count (0 means the automatic budget)."""
+    """A nonnegative lane count (0 means the default, one lane)."""
     try:
         value = int(text)
     except ValueError as exc:
@@ -310,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser(
         "sweep",
-        help="batched pairwise TTR sweep over relative wake-up shifts",
+        help="pairwise TTR sweep over relative wake-up shifts",
     )
     sweep.add_argument(
         "--agents",
@@ -361,8 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--checkpoint-dir",
         default=None,
-        help="snapshot streaming-sweep progress here so an interrupted "
-        "sweep can resume; completed sweeps clean up after themselves",
+        help="snapshot sweep progress here so an interrupted sweep can "
+        "resume; completed sweeps clean up after themselves",
     )
     sweep.add_argument(
         "--resume",
@@ -372,19 +372,11 @@ def build_parser() -> argparse.ArgumentParser:
         "discarded and the sweep starts fresh)",
     )
     sweep.add_argument(
-        "--engine",
-        choices=("auto", "batched", "stream"),
-        default="auto",
-        help="sweep engine: 'auto' dispatches on period size, 'stream' "
-        "forces the tiled streaming engine (works at any period), "
-        "'batched' forces the table engine (periods up to its limit)",
-    )
-    sweep.add_argument(
         "--tile-bytes",
         type=_parse_tile_bytes,
         default=None,
         metavar="auto|BYTES",
-        help="byte budget per streaming (shift, time) tile: 'auto' "
+        help="byte budget per sweep (shift, time) tile: 'auto' "
         "(default) sizes tiles from the machine's L2/L3 caches, an "
         "explicit byte count pins it; results are invariant under "
         "the choice",
@@ -393,29 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--stream-workers",
         type=_parse_stream_workers,
         default=0,
-        help="thread lanes for the intra-pair streaming scan; 0 "
-        "(default) budgets automatically — all cores when the pair "
-        "fan-out is serial, one lane per pair when --workers already "
-        "saturates the cores",
-    )
-    sweep.add_argument(
-        "--backend",
-        default="auto",
-        metavar="SPEC",
-        help="array backend executing the streaming tile ops: 'auto' "
-        "(default; honours REPRO_BACKEND), 'numpy', a registered name, "
-        "or a 'module.path:attr' entry point; every conforming backend "
-        "is bit-identical",
-    )
-    sweep.add_argument(
-        "--pair-major",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help="pair-major stacking: batch every uncached pair of a "
-        "serial sweep into one streaming tile pass ('auto' stacks "
-        "whenever the streaming engine is reachable and no checkpoint "
-        "directory is set; 'on' requires that configuration; 'off' "
-        "keeps the per-pair loop); results are bit-identical",
+        help="thread lanes for each pair's sweep; 0 (default) runs one "
+        "lane — extra lanes pay only on large strided sweeps",
     )
     sweep.add_argument(
         "--environment",
@@ -798,15 +769,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.degradation is not None and args.environment is None:
         print("sweep failed: --degradation requires --environment")
         return 2
-    if args.checkpoint_dir is not None and args.engine == "batched":
-        print("sweep failed: --checkpoint-dir needs the streaming engine")
-        return 2
-    if args.pair_major == "on" and args.checkpoint_dir is not None:
-        print("sweep failed: --pair-major on does not support --checkpoint-dir")
-        return 2
-    if args.pair_major == "on" and args.engine == "batched":
-        print("sweep failed: --pair-major on needs the streaming engine")
-        return 2
     store = None
     if args.store_dir is not None:
         store_kwargs = {"read_roots": args.read_roots or ()}
@@ -818,23 +780,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # run's partial progress: discard whatever snapshots remain.
         for stale in Path(args.checkpoint_dir).glob("*.ckpt.json"):
             stale.unlink()
-    pair_major = {"auto": "auto", "on": True, "off": False}[args.pair_major]
-    try:
-        runner = SweepRunner(
-            workers=args.workers or None,
-            store=store,
-            engine=args.engine,
-            tile_bytes=args.tile_bytes,
-            stream_workers=args.stream_workers or None,
-            results=args.results_dir,
-            checkpoint_dir=args.checkpoint_dir,
-            environment=args.environment,
-            backend=args.backend,
-            pair_major=pair_major,
-        )
-    except ValueError as exc:
-        print(f"sweep failed: {exc}")
-        return 2
+    runner = SweepRunner(
+        workers=args.workers or None,
+        store=store,
+        tile_bytes=args.tile_bytes,
+        stream_workers=args.stream_workers or None,
+        results=args.results_dir,
+        checkpoint_dir=args.checkpoint_dir,
+        environment=args.environment,
+    )
     try:
         instance = Instance(
             args.universe, [frozenset(s) for s in args.agents], "cli"
@@ -864,18 +818,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for m in measured
     ]
     print(f"algorithm: {args.algorithm}")
-    if args.engine != "auto":
-        print(f"engine:    {args.engine}")
     if faulted:
         print(f"environment: {environment_digest(args.environment)}")
     if args.stream_workers:
         print(f"stream workers: {args.stream_workers} per pair")
     if args.tile_bytes is not None:
         print(f"tile bytes: {args.tile_bytes}")
-    if args.backend != "auto":
-        print(f"backend:   {args.backend}")
-    if args.pair_major != "auto":
-        print(f"pair-major: {args.pair_major}")
     header = ["pair", "worst TTR", "mean", "p95", "shifts"]
     if faulted:
         header.append("missed")
@@ -913,9 +861,9 @@ def _sweep_degradation(
 ) -> int:
     """Emit one JSON degradation report per overlapping pair.
 
-    Shift classes are exhaustive (the sweep engines' full guarantee
-    range per pair), so the survival fraction is exact, not sampled;
-    the report is bit-identical whichever engine computes it.
+    Shift classes are exhaustive (each pair's full guarantee range),
+    so the survival fraction is exact, not sampled; no sweep knob
+    changes the report.
     """
     reports = []
     for i, j in instance.overlapping_pairs():
@@ -926,7 +874,6 @@ def _sweep_degradation(
             b,
             args.degradation,
             args.environment,
-            engine=args.engine,
             tile_bytes=args.tile_bytes,
             stream_workers=args.stream_workers or None,
         )

@@ -27,18 +27,14 @@ verification
 environment
     Deterministic, seeded fault-injection layer: primary-user churn,
     fading misses, and asymmetric sensing expressed as vectorized
-    per-slot validity masks that every sweep engine applies
+    per-slot validity masks that every sweep path applies
     bit-identically.
-batch
-    Batched shift-sweep engine: whole TTR profiles in one vectorized
-    pass over a ``(shift, time)`` coincidence matrix — and the engine
-    dispatcher (scalar / batched / stream).
 stream
-    Streaming tiled-sweep engine: the same profiles computed in
-    fixed-byte ``(shift, time)`` tiles generated on demand, for
-    schedules whose period is too large to table — blocked over
-    intra-pair worker lanes, with an L2/L3-aware tile-plan auto-tuner
-    (``plan_tiles``) and a single-threaded reference scan.
+    The shift-sweep engine: ``ttr_sweep`` runs the scalar reference loop
+    for tiny joint periods and one blocked first-meet kernel otherwise,
+    with tiles generated on demand (any period size), optional
+    intra-pair thread lanes, an L2/L3-aware tile planner
+    (``plan_tiles``) and resumable checkpoints.
 store
     Shared-memory schedule store: period tables materialized once as
     read-only memmaps and attached by every sweep process (sharded
@@ -46,7 +42,7 @@ store
     global DRDS sequence across channel sets.
 results
     Persistent result cache: whole sweep measurements keyed by a
-    content digest of their engine-invariant inputs, served back in
+    content digest of their knob-invariant inputs, served back in
     microseconds — the database layer behind ``python -m repro serve``.
 telemetry
     Process-local observability registry: named counters, gauges, and

@@ -28,13 +28,13 @@ and simulation engines consult per slot:
 the environment's own parameters, computed through a vectorized
 splitmix64-style integer hash (:func:`hash_uniform`) — no RNG state, no
 Python ``hash()``, so the same spec produces the same mask in every
-process, under every ``PYTHONHASHSEED``, on every engine.  That purity
-is what lets the batched and streaming sweep engines apply an
-environment as *one extra masked compare per tile* and stay
+process, under every ``PYTHONHASHSEED``, on every code path.  That
+purity is what lets the sweep kernel apply an environment as *one
+extra masked compare per tile* and stay
 bit-identical with the scalar reference
 (:func:`repro.core.verification.ttr_for_shift` with ``environment=``).
 
-**Clocks.**  The pairwise sweep engines evaluate the mask on the TTR
+**Clocks.**  The pairwise sweeps evaluate the mask on the TTR
 clock — slots counted from the later wake-up — which keeps the shared
 shift deduplication (:func:`repro.core.stream.reduce_shifts`) valid:
 two shifts collapsing to the same phase-offset pair see identical

@@ -8,16 +8,15 @@ construction; this module removes the repeated *sweep* — a measurement,
 once computed, is answered from disk in microseconds.
 
 :class:`ResultStore` keys each measurement by a canonical digest of its
-engine-invariant inputs (see :func:`pair_query` / :func:`result_digest`)
+knob-invariant inputs (see :func:`pair_query` / :func:`result_digest`)
 and persists records as JSON lines in digest-prefix **shards** under a
 store directory.  The design mirrors the schedule store's discipline:
 
 * **content addressing** — the key is the query itself, canonically
   JSON-encoded with sorted keys and sorted channel lists, hashed with
-  SHA-256.  Engine identity (``batched`` / ``stream`` / ``scalar``),
-  tile budgets, and worker counts are deliberately *excluded*: every
-  engine is parity-certified bit-identical, so a result computed under
-  one configuration answers a query made under any other.
+  SHA-256.  Tile budgets and lane/worker counts are deliberately
+  *excluded*: no sweep knob changes a result, so a result computed
+  under one configuration answers a query made under any other.
 * **atomic shards** — a record lands in shard file
   ``<digest[:2]>.jsonl``; shard rewrites go through a temp file plus
   ``os.replace``, so concurrent writers race benignly (last writer
@@ -79,7 +78,7 @@ def pair_query(
 ) -> dict:
     """Canonical query dict for one pairwise worst-TTR measurement.
 
-    Carries exactly the engine-invariant inputs that determine the
+    Carries exactly the knob-invariant inputs that determine the
     measurement: the algorithm, universe size, both channel sets
     (sorted — agent order within the pair does not matter to the
     sweep's *inputs*, but the two sets are kept positional because the

@@ -14,17 +14,15 @@ and the simulator compare schedules as arrays rather than slot by slot.
 The bulk hooks are :meth:`Schedule.period_table` — one full period as a
 shared read-only array, cached up to ``_CACHE_LIMIT`` slots —
 :meth:`Schedule.channel_block` — an arbitrary slot window **without**
-materializing the period, which is what lets the streaming engine
+materializing the period, which is what lets the sweep kernel
 (:mod:`repro.core.stream`) sweep schedules whose period is too large to
 table — and :meth:`Schedule.channel_gather` — channels at an arbitrary
-*array* of slot indices in one vectorized call, which is how the
-streaming engine's blocked scan assembles a whole ``(shift, time)``
-tile of scattered rows without per-row Python dispatch.  The batched
-engine (:mod:`repro.core.batch`) builds every sweep from window views
-of the period table; adding a new algorithm only requires
+*array* of slot indices in one vectorized call, which is how the kernel
+assembles a whole ``(shift, time)`` tile of scattered rows without
+per-row Python dispatch.  Adding a new algorithm only requires
 ``channel_at`` plus (optionally) a vectorized
 ``_compute_period_array``, ``channel_block``, and/or
-``channel_gather``.
+``channel_gather``; the kernel certifies it through those hooks.
 """
 
 from __future__ import annotations
@@ -71,7 +69,7 @@ class Schedule:
     def channel_block(self, start: int, stop: int) -> np.ndarray:
         """Channels for slots ``start .. stop-1``, generated on demand.
 
-        This is the chunk hook the streaming engine
+        This is the chunk hook the sweep kernel
         (:mod:`repro.core.stream`) builds tiles from: unlike
         :meth:`period_table` it never requires materializing a full
         period, so it stays usable on schedules whose period exceeds
@@ -100,7 +98,7 @@ class Schedule:
         The scattered-access sibling of :meth:`channel_block`: where a
         block is one contiguous window, a gather answers any index
         array (typically the 2-D ``(shift row, time)`` matrix of one
-        streaming tile — see :mod:`repro.core.stream`) in a single
+        kernel tile — see :mod:`repro.core.stream`) in a single
         vectorized call.  The generic fallback indexes the cached
         period array modularly for moderate periods and evaluates
         ``channel_at`` per element for huge ones; subclasses with
@@ -122,8 +120,9 @@ class Schedule:
     def period_table(self) -> np.ndarray:
         """One full period of the schedule as a shared int64 array.
 
-        This is the bulk-materialization hook the batched verification
-        engine builds on: the table is computed once per schedule (and
+        The bulk-materialization hook behind the generic
+        ``channel_block`` / ``channel_gather`` fallbacks and the
+        schedule store: the table is computed once per schedule (and
         cached for periods up to ``_CACHE_LIMIT``), after which any
         window of the infinite schedule is a view/tile of it.  Callers
         must treat the returned array as read-only.
@@ -150,9 +149,8 @@ class Schedule:
 
         ``True`` means the next ``period_table()`` call is free (the
         cached array, a wrapped sequence, or a store memmap); ``False``
-        means it would pay a full pass over the period.  The engine
-        dispatcher (:func:`repro.core.batch.ttr_sweep`) uses this to
-        weigh table reuse against a one-shot streamed scan.
+        means it would pay a full pass over the period.  Profilers use
+        it to tell table builds from table reuse.
         """
         return getattr(self, "_period_array_cache", None) is not None
 

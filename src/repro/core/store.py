@@ -7,8 +7,8 @@ slots, and materializing it (:meth:`~repro.core.schedule.Schedule.period_table`)
 costs a full pass over the period.  Before this module existed, every
 :class:`~repro.sim.runner.SweepRunner` worker process rebuilt each
 table it touched — the dominant cost of dense-universe sweeps
-(``n = 128, 256``), since the verification engine itself is batched
-and cheap per pair.
+(``n = 128, 256``), since the sweep kernel itself is cheap per
+pair.
 
 :class:`ScheduleStore` materializes each distinct
 ``(channels, n, algorithm, seed)`` period table **exactly once** into a
@@ -85,8 +85,8 @@ __all__ = [
 DEFAULT_MEMORY_CAP = 1 << 30
 
 #: Largest period (slots) the store will materialize.  Shares the
-#: schedule cache / batched-engine limit: beyond it the batched sweep
-#: hands off to the streaming engine and a table would never be used.
+#: schedule cache limit: beyond it no period table is ever built, and
+#: the sweep kernel generates such schedules' tiles on demand.
 STORE_PERIOD_LIMIT = _CACHE_LIMIT
 
 #: Pseudo-algorithm name under which the global DRDS sequence (one per
@@ -153,7 +153,7 @@ class StoredSchedule(Schedule):
     ``period_table()`` returns the wrapped array itself (int64 input is
     used as-is; other dtypes are converted, which copies, once at
     construction).  This is also the adapter
-    :func:`repro.core.batch.ttr_sweep` uses to accept raw arrays in
+    :func:`repro.core.stream.ttr_sweep` uses to accept raw arrays in
     place of schedule objects; when ``channels`` is not supplied it is
     derived lazily from the table, so sweep-only wrappers never scan it.
     """
@@ -188,7 +188,7 @@ class StoredSchedule(Schedule):
 
         Windows that stay inside one period come back as zero-copy
         slices; for a memmap attached from a :class:`ScheduleStore`
-        that means the streaming engine's tiles read straight off disk
+        that means the sweep kernel's tiles read straight off disk
         (the OS page cache shares the pages across processes).  Windows
         that wrap fall back to one modular gather.
         """
@@ -218,10 +218,9 @@ class StoredSchedule(Schedule):
 def coerce_schedule(x: Schedule | np.ndarray) -> Schedule:
     """Wrap a raw period array as a schedule view; pass schedules through.
 
-    The shared input adapter of both sweep engines
-    (:mod:`repro.core.batch`, :mod:`repro.core.stream`): either may be
-    handed a :class:`~repro.core.schedule.Schedule` or a raw 1-D period
-    array (e.g. a store memmap), and a raw array becomes a
+    The input adapter of :func:`repro.core.stream.ttr_sweep`: either
+    side may be a :class:`~repro.core.schedule.Schedule` or a raw 1-D
+    period array (e.g. a store memmap), and a raw array becomes a
     :class:`StoredSchedule` view over it — int64 input is never copied.
     """
     if isinstance(x, Schedule):

@@ -1,82 +1,61 @@
-"""Streaming tiled-sweep verification engine for huge-period schedules.
+"""The shift-sweep engine: one entry point, one first-meet kernel.
 
-The batched engine (:mod:`repro.core.batch`) materializes both
-schedules' full period tables and gathers every coincidence block from
-window views of them — which caps it at ``BATCH_TABLE_LIMIT`` slots of
-period.  Jump-Stay's cubic global period crosses that limit from
-``n = 128`` on, and the long-period available-set baselines (ZOS at
-large ``m``) cross it well below their guarantee bounds, so the only
-honest fallback used to be the scalar per-shift loop — hours instead of
-seconds on Table-1-scale sweeps.
+The paper's asynchronous rendezvous guarantee (Section 2) quantifies
+over *all* relative wake-up offsets, and its Table-1 comparison rests
+on worst-case TTRs — so honest reproduction means exhaustive shift
+sweeps, not samples.  :func:`ttr_sweep` answers "when do these two
+schedules first coincide at relative shift ``s``?" for a whole list of
+shifts at once, bit-identical to a per-shift loop over the scalar
+reference :func:`repro.core.verification.ttr_for_shift`.  It has two
+paths and nothing else:
 
-This module removes the table from the loop.  The coincidence
-computation walks fixed-byte ``(shift-block, time-block)`` **tiles**:
+* **the scalar loop** when the joint period ``lcm(period_A,
+  period_B)`` is at most :data:`SCALAR_JOINT_LIMIT` slots — at that
+  size any vectorized setup costs more than the whole scan;
+* **the blocked kernel** otherwise (:func:`_scan_block`), checkpointed
+  sweeps included.
+
+The kernel never materializes a period table; it walks fixed-byte
+``(shift-block, time-block)`` **tiles**:
 
 * each tile's channel rows are generated *on demand* through
   :meth:`~repro.core.schedule.Schedule.channel_block` /
   :meth:`~repro.core.schedule.Schedule.channel_gather`, the chunk APIs
   every baseline implements (vectorized closed forms for the global
-  sequences; memmap slices for store-attached tables; a generic
-  modular-index fallback otherwise) — no full period is ever held;
-* every shift is first reduced to its phase-offset pair exactly as in
-  the batched engine (``s >= 0`` acts through ``s mod period_A``,
-  ``s < 0`` through ``-s mod period_B``), and duplicate offsets are
-  deduplicated before any work happens;
+  sequences; memmap slices for store-attached tables; a modular index
+  into the cached period array otherwise) — so a new algorithm is
+  certified as soon as it implements them;
+* a shift only enters the comparison through its phase-offset pair
+  (``s >= 0`` acts through ``s mod period_A``, ``s < 0`` through
+  ``-s mod period_B``), so shifts are deduplicated to distinct offset
+  classes before any work happens (:func:`reduce_shifts`);
 * tiles carry per-shift *first-meet* state: a shift row that has
   already rendezvoused retires and never costs another cell, and time
   blocks grow geometrically as rows drop out (most shifts meet early);
 * the scan stops at ``lcm(period_A, period_B)`` slots even when the
-  caller's horizon is larger, the same early-stop the batched engine
-  applies: the joint pattern is periodic, so a silent joint period
-  means no rendezvous ever — unless an aperiodic fault environment
-  (:mod:`repro.core.environment`) is attached, which voids the
-  periodicity argument and forces the full horizon
+  caller's horizon is larger: the joint pattern is periodic, so a
+  silent joint period means no rendezvous ever — unless an aperiodic
+  fault environment (:mod:`repro.core.environment`) is attached, which
+  voids the periodicity argument and forces the full horizon
   (:func:`repro.core.environment.effective_horizon`).
 
-Two scans implement those semantics:
+The deduped classes split into independent **shift blocks** sized by
+a :class:`TilePlan` (:func:`plan_tiles` derives rows per block and
+bytes per tile from the lane count, the machine's L2/L3 cache sizes
+and the problem shape).  Sparse blocks assemble their whole
+``(rows, width)`` tile in one vectorized ``channel_gather`` call;
+dense blocks slice one contiguous ``channel_block`` chunk into strided
+window views.  Sweeps run on one lane by default.  ``stream_workers >
+1`` fans the blocks out over a thread pool — numpy releases the GIL
+inside the tile-sized gathers and compares — which pays only on large
+strided sweeps (``docs/TUNING.md`` has the measurements).  Blocks
+touch disjoint result rows, so every lane count and every plan returns
+the same profile.
 
-* :func:`ttr_sweep_stream` — the production path.  The deduped shift
-  classes are split into independent **shift blocks** (a
-  :class:`TilePlan` decides how many rows per block and how many bytes
-  per tile — :func:`plan_tiles` auto-tunes both from the worker count,
-  the machine's L2/L3 cache sizes, and the problem shape), every
-  block's tile rows are assembled in *one* vectorized
-  ``channel_gather`` call (dense blocks use a contiguous
-  ``channel_block`` chunk plus strided window views instead), and with
-  ``workers > 1`` the blocks fan out over a thread pool — numpy
-  releases the GIL inside the tile-sized comparisons and gathers, so
-  the lanes genuinely overlap on multi-core machines.  Blocks touch
-  disjoint result rows, so the merge is trivially race-free and the
-  result is bit-identical to any serial order.
-* :func:`ttr_sweep_stream_serial` — the original single-threaded
-  reference scan, kept verbatim (fixed ``DEFAULT_TILE_BYTES`` budget,
-  per-row generation for sparse blocks).  It plays the role for the
-  parallel scan that the scalar loop plays for the batched engine: the
-  independent implementation parity tests certify against, and the
-  baseline the intra-pair speedup benchmark measures from.
-
-Results are bit-identical across both scans, every worker count, every
-tile plan, and the batched and scalar engines —
-``tests/core/test_stream.py`` certifies the full parity matrix across
-every workload generator, and ``tests/core/test_differential.py`` adds
-a randomized cross-engine safety net.  Tuning guidance lives in
-``docs/TUNING.md``.
-
-Two seams extend the scan beyond one pair on one array library:
-
-* **Array backend** — the tile ops (compare, mask, first-meet
-  reduction, row retirement) run through a
-  :class:`repro.core.backend.ArrayBackend`, never raw ``np.*``: tile
-  *assembly* (schedule closed forms, memmaps, environment masks) stays
-  on the host, ``from_host`` is the single transfer point into the
-  backend's array space, and an alternate library (GPU/SIMD) executes
-  the identical tiles by implementing the ~10-op protocol.
-* **Pair-major stacking** — :func:`ttr_sweep_pairs` flattens *many*
-  schedule pairs' deduped shift rows into one global row set and scans
-  them through shared tiles: one chunk loop amortizes the per-pair
-  dispatch, plan, and fixed-row work across an entire Table-1 cell
-  grid, with each row retiring independently under its own pair's
-  effective horizon.  Profiles are bit-identical to per-pair calls.
+``tests/core/test_stream.py`` certifies the kernel against the scalar
+reference across every workload generator, and
+``tests/core/test_differential.py`` adds a seeded randomized safety
+net over plans, lanes, environments and horizons.
 """
 
 from __future__ import annotations
@@ -97,7 +76,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.core import telemetry
-from repro.core.backend import ArrayBackend, resolve_backend
 from repro.core.environment import (
     Environment,
     effective_horizon,
@@ -106,23 +84,20 @@ from repro.core.environment import (
 from repro.core.schedule import Schedule
 
 __all__ = [
-    "ttr_sweep_stream",
-    "ttr_sweep_stream_serial",
-    "ttr_sweep_pairs",
+    "ttr_sweep",
     "reduce_shifts",
     "scatter_ttrs",
     "TilePlan",
     "plan_tiles",
     "cache_sizes",
     "SweepCheckpoint",
-    "DEFAULT_TILE_BYTES",
+    "SCALAR_JOINT_LIMIT",
 ]
 
-#: Fixed byte budget of the serial reference scan's tiles (and the
-#: historical default of the streaming engine before the auto-tuner).
-#: 4 MiB keeps tiles inside typical L2/L3 while leaving room for the
-#: generated chunks.
-DEFAULT_TILE_BYTES = 1 << 22
+#: Joint periods (lcm of the pair) at or below this go to the scalar
+#: reference loop — at this size the kernel's vectorized setup costs
+#: more than the whole scan.
+SCALAR_JOINT_LIMIT = 64
 
 _INITIAL_TIME_BLOCK = 256
 _BYTES_PER_CELL = 8  # int64 channel ids
@@ -137,6 +112,8 @@ _BLOCKS_PER_WORKER = 4
 # Cache-size fallbacks when the sysfs topology is unreadable.
 _FALLBACK_L2_BYTES = 1 << 20
 _FALLBACK_L3_BYTES = 1 << 25
+# Leading slots of each schedule folded into a checkpoint's spec digest.
+_SPEC_PROBE_SLOTS = 4096
 
 
 def _parse_cache_size(text: str) -> int | None:
@@ -193,7 +170,7 @@ def cache_sizes() -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class TilePlan:
-    """One resolved tiling decision for the blocked streaming scan.
+    """One resolved tiling decision for the blocked kernel.
 
     ``tile_bytes`` bounds the bytes of any single ``(shift, time)``
     tile *per worker lane*; ``block_rows`` is how many deduped shift
@@ -229,13 +206,13 @@ def plan_tiles(
     tile_bytes: int | None = None,
     caches: tuple[int, int] | None = None,
 ) -> TilePlan:
-    """Auto-tune a :class:`TilePlan` for one blocked streaming scan.
+    """Auto-tune a :class:`TilePlan` for one blocked scan.
 
     Pure arithmetic over the problem shape (``num_offsets`` deduped
-    shift classes, ``horizon`` slots), the worker count (``None``: one
-    lane per CPU), and the machine's cache sizes (``caches`` overrides
-    the memoized :func:`cache_sizes` probe) — no wall-clock or RNG
-    input, so the same arguments always produce the same plan.
+    shift classes, ``horizon`` slots), the lane count (``None``: one
+    lane), and the machine's cache sizes (``caches`` overrides the
+    memoized :func:`cache_sizes` probe) — no wall-clock or RNG input,
+    so the same arguments always produce the same plan.
 
     Sizing policy, in order:
 
@@ -244,19 +221,17 @@ def plan_tiles(
       with multiple lanes the per-lane tile is additionally capped so
       all lanes together leave half the L3 free.  An explicit
       ``tile_bytes`` pins the budget unchanged.
-    * **block rows** — serial scans take the widest block one tile can
-      hold (fewer tiles, best vectorization); parallel scans split the
-      rows into ``workers * 4`` blocks (bounded by the tile cap) so
-      lanes that retire early pick up remaining blocks instead of
-      idling.
+    * **block rows** — one-lane scans take the widest block one tile
+      can hold (fewer tiles, best vectorization); multi-lane scans
+      split the rows into ``workers * 4`` blocks (bounded by the tile
+      cap) so lanes that retire early pick up remaining blocks instead
+      of idling.
     * **workers** — clamped to the number of blocks; extra lanes could
       never receive work.
     """
     if num_offsets < 0:
         raise ValueError(f"num_offsets must be nonnegative, got {num_offsets}")
-    if workers is None:
-        workers = os.cpu_count() or 1
-    workers = max(1, int(workers))
+    workers = 1 if workers is None else max(1, int(workers))
     if tile_bytes is None:
         l2, l3 = caches if caches is not None else cache_sizes()
         tile = min(max(l2 // 2, _MIN_TILE_BYTES), _MAX_TILE_BYTES)
@@ -288,28 +263,28 @@ _UNRESOLVED = -2
 
 
 class SweepCheckpoint:
-    """Checkpoint sink for resumable streaming sweeps.
+    """Checkpoint sink for resumable sweeps.
 
-    Attach one to :func:`ttr_sweep_stream` (or
-    :func:`repro.core.batch.ttr_sweep` with ``checkpoint=``) and the
-    scan snapshots its state to ``path`` at time-block boundaries:
-    every retired shift row's final TTR (or certified miss) plus the
-    resume cursor — the time frontier each still-live row has been
-    scanned to.  Re-running the same sweep with the same sink then
-    *resumes*: retired rows are answered from the snapshot, live rows
-    rescan only from (at most) their recorded frontier, and the merged
-    profile is bit-identical to an uninterrupted run — first-meet
-    results are invariant under where the scan was cut.
+    Attach one to :func:`ttr_sweep` with ``checkpoint=`` and the kernel
+    snapshots its state to ``path`` at time-block boundaries: every
+    retired shift row's final TTR (or certified miss) plus the resume
+    cursor — the time frontier each still-live row has been scanned
+    to.  Re-running the same sweep with the same sink then *resumes*:
+    retired rows are answered from the snapshot, live rows rescan only
+    from (at most) their recorded frontier, and the merged profile is
+    bit-identical to an uninterrupted run — first-meet results are
+    invariant under where the scan was cut.
 
-    The snapshot is keyed by a spec digest (periods, deduped offset
-    pairs, effective horizon); a snapshot from a *different* sweep is
-    ignored and overwritten, never merged.  Saves are atomic (temp file
-    plus ``os.replace``), so a kill mid-save leaves the previous valid
-    snapshot.  ``interval_blocks`` sets the save cadence: a snapshot
-    every that many time-block boundaries (``1``: every boundary —
-    maximal resumability, maximal I/O).  ``saves`` counts snapshots
-    actually written; ``clear()`` deletes the file (the runner calls it
-    after a sweep completes).
+    The snapshot is keyed by a spec digest (each schedule's identity,
+    the deduped offset pairs, the effective horizon, the environment);
+    a snapshot from a *different* sweep is ignored and overwritten,
+    never merged.  Saves are atomic (temp file plus ``os.replace``), so
+    a kill mid-save leaves the previous valid snapshot.
+    ``interval_blocks`` sets the save cadence: a snapshot every that
+    many time-block boundaries (``1``: every boundary — maximal
+    resumability, maximal I/O).  ``saves`` counts snapshots actually
+    written; ``clear()`` deletes the file (the runner calls it after a
+    sweep completes).
     """
 
     def __init__(self, path: str | os.PathLike, interval_blocks: int = 1):
@@ -359,14 +334,19 @@ def _sweep_spec(
 ) -> str:
     """Digest identifying one sweep's work items for checkpoint matching.
 
-    The environment digest is part of the spec: a faulted sweep must
-    never resume from a clean sweep's snapshot (or vice versa) — their
-    first-meet frontiers describe different masks.
+    Each schedule contributes its identity — period, channel set and
+    its first ``_SPEC_PROBE_SLOTS`` slots — because periods alone do
+    not tell pairs apart (every CRSEQ schedule at one ``n`` has the
+    same period).  The environment digest is part of the spec too: a
+    faulted sweep must never resume from a clean sweep's snapshot (or
+    vice versa) — their first-meet frontiers describe different masks.
     """
     digest = hashlib.sha256()
-    digest.update(
-        f"{a.period}|{b.period}|{horizon}|{environment_digest(environment)}|".encode()
-    )
+    for schedule in (a, b):
+        probe = schedule.channel_block(0, min(schedule.period, _SPEC_PROBE_SLOTS))
+        digest.update(f"{schedule.period}|{sorted(schedule.channels)}|".encode())
+        digest.update(np.ascontiguousarray(probe, dtype=np.int64).tobytes())
+    digest.update(f"{horizon}|{environment_digest(environment)}|".encode())
     digest.update(np.ascontiguousarray(unique_pairs, dtype=np.int64).tobytes())
     return digest.hexdigest()[:32]
 
@@ -460,63 +440,57 @@ class _CheckpointRecorder:
         }
 
 
-def ttr_sweep_stream(
+def ttr_sweep(
     a: Schedule | np.ndarray,
     b: Schedule | np.ndarray,
     shifts: Iterable[int],
     horizon: int,
     tile_bytes: int | None = None,
-    workers: int | None = None,
+    stream_workers: int | None = None,
     plan: TilePlan | None = None,
     checkpoint: SweepCheckpoint | None = None,
     environment: Environment | None = None,
-    backend: ArrayBackend | str | None = None,
 ) -> dict[int, int | None]:
-    """TTR for every relative shift, streamed in worker-parallel tiles.
+    """TTR for every relative shift, in one pass.
 
-    Semantics are identical to :func:`repro.core.batch.ttr_sweep` (and
-    therefore to a per-shift loop over
-    :func:`repro.core.verification.ttr_for_shift`): the result maps
-    each shift to the first slot, counted from the later wake-up, where
-    the schedules coincide — ``None`` when no coincidence occurs within
-    ``horizon`` slots.  Unlike the batched engine it never materializes
-    a full period table, so it works at any period size.
+    Semantics are identical to calling
+    :func:`repro.core.verification.ttr_for_shift` per shift: the result
+    maps each shift to the first slot (counted from the later wake-up)
+    where the schedules coincide, or ``None`` when no coincidence occurs
+    within ``horizon`` slots.
 
-    Execution is the blocked scan described in the module docstring:
-    the deduped shift classes split into independent blocks that fan
-    out over ``workers`` thread lanes (``None``: one per CPU;
-    ``1``: inline, no pool).  ``tile_bytes`` pins the per-lane tile
-    budget (``None``: auto-tuned from the cache sizes); ``plan``
-    overrides the whole :class:`TilePlan` when full control is needed.
-    Results are invariant under every plan and worker count — blocks
-    own disjoint result rows, and each row's first-meet scan is
-    deterministic.  Either side may be a raw 1-D period array (e.g. a
-    read-only memmap attached from a
-    :class:`~repro.core.store.ScheduleStore`) — tiles are then sliced
-    straight off the array, which for a memmap means straight off disk.
+    Joint periods up to :data:`SCALAR_JOINT_LIMIT` run the scalar loop;
+    everything else — and every sweep with a ``checkpoint`` or a pinned
+    ``plan`` — runs the blocked kernel described in the module
+    docstring, which works at any period size.  Kernel knobs, none of
+    which changes a result:
 
-    ``checkpoint`` attaches a :class:`SweepCheckpoint` sink: the scan
+    * ``stream_workers`` — thread lanes the shift blocks fan out over
+      (``None``: one lane, no thread pool);
+    * ``tile_bytes`` — the per-lane tile budget (``None``: auto-tuned
+      from the cache sizes, see :func:`plan_tiles`);
+    * ``plan`` — a whole pinned :class:`TilePlan`, overriding both.
+
+    ``checkpoint`` attaches a :class:`SweepCheckpoint` sink: the kernel
     snapshots retired rows plus each live row's time frontier at block
     boundaries, and a rerun against an existing snapshot of the *same*
     sweep resumes instead of restarting — resumed profiles are
-    bit-identical to uninterrupted ones (certified in tier-1 tests).
+    bit-identical to uninterrupted ones.
+
+    Either side may be a raw 1-D period array instead of a
+    :class:`~repro.core.schedule.Schedule` — e.g. a read-only memmap
+    attached from a :class:`~repro.core.store.ScheduleStore`.  An int64
+    table is used as-is, never copied: the array *is* the period table,
+    its length the period, and tiles are sliced straight off it.
 
     ``environment`` ANDs a deterministic per-slot validity mask
-    (:mod:`repro.core.environment`) into every tile's coincidence
-    compare, on the TTR clock; its digest joins the checkpoint spec so
-    faulted and clean sweeps never cross-resume, and an aperiodic mask
-    disables the lcm early-stop.
-
-    ``backend`` selects the array library executing the tile ops
-    (:func:`repro.core.backend.resolve_backend` spec: an instance, a
-    registered name, ``"module:attr"``, or ``None``/``"auto"`` for the
-    default).  Tiles are assembled on the host either way; only the
-    compare/mask/retire ops run on the backend, and every conforming
-    backend returns bit-identical profiles.
+    (:mod:`repro.core.environment`) into every coincidence, on the TTR
+    clock; its digest joins the checkpoint spec so faulted and clean
+    sweeps never cross-resume, and an aperiodic mask disables the lcm
+    early-stop (the scan then covers the caller's full horizon).
     """
     if tile_bytes is not None and tile_bytes <= 0:
         raise ValueError(f"tile_bytes must be positive, got {tile_bytes}")
-    xp = resolve_backend(backend)
     a = _coerce_schedule(a)
     b = _coerce_schedule(b)
     shift_list = [int(s) for s in shifts]
@@ -524,12 +498,21 @@ def ttr_sweep_stream(
         return {}
     if horizon <= 0:
         return {s: None for s in shift_list}
+    joint = math.lcm(a.period, b.period)
+    effective = effective_horizon(horizon, joint, environment)
+    telemetry.count("sweep.shifts", len(shift_list))
+    if joint <= SCALAR_JOINT_LIMIT and checkpoint is None and plan is None:
+        # The joint pattern repeats every lcm slots, so capping the
+        # scalar scan there preserves every answer (including misses) —
+        # unless an aperiodic environment voids the argument, in which
+        # case ``effective`` is the full horizon.
+        telemetry.count("sweep.scalar")
+        return _scalar_sweep(a, b, shift_list, effective, environment)
 
+    telemetry.count("sweep.kernel")
     with telemetry.span("stream.sweep"):
         unique_pairs, inverse = reduce_shifts(a, b, shift_list)
-        effective = effective_horizon(
-            horizon, math.lcm(a.period, b.period), environment
-        )
+        telemetry.count("sweep.classes", len(unique_pairs))
         # Each shift pins one side's offset to zero, so the sign groups
         # are profiled separately with the zero side as the broadcast row.
         ttrs = np.empty(len(unique_pairs), dtype=np.int64)
@@ -550,297 +533,33 @@ def ttr_sweep_stream(
             if group_plan is None:
                 group_plan = plan_tiles(
                     int(group.sum()), effective,
-                    workers=workers, tile_bytes=tile_bytes,
+                    workers=stream_workers, tile_bytes=tile_bytes,
                 )
-            ttrs[group] = _stream_offsets(
+            telemetry.gauge("sweep.lanes", group_plan.workers)
+            telemetry.gauge("sweep.block_rows", group_plan.block_rows)
+            telemetry.gauge("sweep.tile_bytes", group_plan.tile_bytes)
+            ttrs[group] = _scan_offsets(
                 var, fixed, unique_pairs[group, column], effective, group_plan,
-                recorder=recorder, gid=gid, environment=environment, xp=xp,
+                recorder=recorder, gid=gid, environment=environment,
             )
         return scatter_ttrs(shift_list, ttrs, inverse)
 
 
-def ttr_sweep_stream_serial(
-    a: Schedule | np.ndarray,
-    b: Schedule | np.ndarray,
-    shifts: Iterable[int],
+def _scalar_sweep(
+    a: Schedule,
+    b: Schedule,
+    shifts: list[int],
     horizon: int,
-    tile_bytes: int = DEFAULT_TILE_BYTES,
     environment: Environment | None = None,
-    backend: ArrayBackend | str | None = None,
 ) -> dict[int, int | None]:
-    """The single-threaded reference scan of the streaming engine.
+    """The scalar reference loop, one :func:`ttr_for_shift` per shift."""
+    from repro.core.verification import ttr_for_shift
 
-    The original streaming implementation, kept verbatim: one thread,
-    a fixed ``tile_bytes`` budget, per-row chunk generation for sparse
-    shift blocks.  It is to :func:`ttr_sweep_stream` what the scalar
-    loop is to the batched engine — the independent reference the
-    parallel blocked scan is parity-certified against (bit-identical
-    per cell) and the baseline ``benchmarks/test_stream_sweep.py``
-    measures the intra-pair speedup from.  Production callers should
-    use :func:`ttr_sweep_stream`.  ``environment`` masks coincidences
-    exactly as on the production path, and ``backend`` selects the
-    array library for the tile ops exactly as there.
-    """
-    if tile_bytes <= 0:
-        raise ValueError(f"tile_bytes must be positive, got {tile_bytes}")
-    xp = resolve_backend(backend)
-    a = _coerce_schedule(a)
-    b = _coerce_schedule(b)
-    shift_list = [int(s) for s in shifts]
-    if not shift_list:
-        return {}
-    if horizon <= 0:
-        return {s: None for s in shift_list}
-
-    with telemetry.span("stream.sweep"):
-        unique_pairs, inverse = reduce_shifts(a, b, shift_list)
-        effective = effective_horizon(
-            horizon, math.lcm(a.period, b.period), environment
-        )
-        ttrs = np.empty(len(unique_pairs), dtype=np.int64)
-        negative = unique_pairs[:, 1] != 0
-        if (~negative).any():
-            ttrs[~negative] = _stream_offsets_serial(
-                a, b, unique_pairs[~negative, 0], effective, tile_bytes,
-                environment, xp,
-            )
-        if negative.any():
-            ttrs[negative] = _stream_offsets_serial(
-                b, a, unique_pairs[negative, 1], effective, tile_bytes,
-                environment, xp,
-            )
-        return scatter_ttrs(shift_list, ttrs, inverse)
-
-
-def ttr_sweep_pairs(
-    jobs: Iterable[tuple[Schedule | np.ndarray, Schedule | np.ndarray, Iterable[int]]],
-    horizon: int | Iterable[int],
-    tile_bytes: int | None = None,
-    workers: int | None = None,
-    plan: TilePlan | None = None,
-    environment: Environment | None = None,
-    backend: ArrayBackend | str | None = None,
-) -> list[dict[int, int | None]]:
-    """Sweep many schedule pairs through one pair-major tile pass.
-
-    ``jobs`` is a sequence of ``(a, b, shifts)`` work items — e.g.
-    every cell of a Table-1 grid — and ``horizon`` one shared horizon
-    or a per-job sequence.  Each job's shifts are reduced to distinct
-    phase-offset pairs exactly as in :func:`ttr_sweep_stream`; the
-    deduped rows of *all* jobs are then stacked into one global
-    ``(pairs × shift-rows, width)`` tile stream: rows sort by (varying
-    schedule, offset) so each tile still gathers near-contiguous
-    chunks, the fixed side is generated once per distinct schedule per
-    time window and broadcast to its rows, and every row retires
-    independently under its own job's effective horizon (lcm
-    early-stop per pair; an aperiodic ``environment`` voids it for
-    all).  One chunk loop therefore amortizes the per-pair dispatch,
-    plan, and fixed-row work that a per-job loop pays ``len(jobs)``
-    times — the pair-major speedup ``benchmarks/test_pair_major.py``
-    gates on.
-
-    Returns one shift→TTR mapping per job, in input order, each
-    bit-identical to ``ttr_sweep_stream(a, b, shifts, horizon)`` for
-    that job (the differential harness certifies this).  Schedules
-    repeated across jobs (same object, e.g. from
-    :meth:`repro.sim.runner.SweepRunner.schedule_for`'s cache or a
-    :class:`~repro.core.store.ScheduleStore` memmap) share their
-    fixed-row windows across all their rows.  ``tile_bytes`` /
-    ``workers`` / ``plan`` tune the tiling exactly as in
-    :func:`ttr_sweep_stream` (blocks of rows fan out over thread
-    lanes); ``backend`` selects the array library for the tile ops.
-    Checkpointing is not supported on the pair-major path — resumable
-    sweeps go through per-pair :func:`ttr_sweep_stream`.
-    """
-    if tile_bytes is not None and tile_bytes <= 0:
-        raise ValueError(f"tile_bytes must be positive, got {tile_bytes}")
-    xp = resolve_backend(backend)
-    job_list = [
-        (_coerce_schedule(a), _coerce_schedule(b), [int(s) for s in shifts])
-        for a, b, shifts in jobs
-    ]
-    if isinstance(horizon, Iterable):
-        horizons = [int(h) for h in horizon]
-        if len(horizons) != len(job_list):
-            raise ValueError(
-                f"got {len(horizons)} horizons for {len(job_list)} jobs"
-            )
-    else:
-        horizons = [int(horizon)] * len(job_list)
-
-    results: list[dict[int, int | None] | None] = [None] * len(job_list)
-    # Per-row columns of the global stacked scan, concatenated job by
-    # job so each job's rows stay one contiguous slice of `result`.
-    scheds: list[Schedule] = []
-    sid_by_obj: dict[int, int] = {}
-    col_var: list[np.ndarray] = []
-    col_fixed: list[np.ndarray] = []
-    col_off: list[np.ndarray] = []
-    col_h: list[np.ndarray] = []
-    spans: list[tuple[int, int, list[int], np.ndarray] | None] = [None] * len(job_list)
-    cursor = 0
-
-    def sid(schedule: Schedule) -> int:
-        key = id(schedule)
-        if key not in sid_by_obj:
-            sid_by_obj[key] = len(scheds)
-            scheds.append(schedule)
-        return sid_by_obj[key]
-
-    with telemetry.span("stream.pair_sweep"):
-        telemetry.count("stream.pair_jobs", len(job_list))
-        for j, ((a, b, shift_list), h) in enumerate(zip(job_list, horizons)):
-            if not shift_list:
-                results[j] = {}
-                continue
-            if h <= 0:
-                results[j] = {s: None for s in shift_list}
-                continue
-            unique_pairs, inverse = reduce_shifts(a, b, shift_list)
-            effective = effective_horizon(
-                h, math.lcm(a.period, b.period), environment
-            )
-            negative = unique_pairs[:, 1] != 0
-            sid_a, sid_b = sid(a), sid(b)
-            n = len(unique_pairs)
-            col_var.append(np.where(negative, sid_b, sid_a))
-            col_fixed.append(np.where(negative, sid_a, sid_b))
-            col_off.append(
-                np.where(negative, unique_pairs[:, 1], unique_pairs[:, 0])
-            )
-            col_h.append(np.full(n, effective, dtype=np.int64))
-            spans[j] = (cursor, cursor + n, shift_list, inverse)
-            cursor += n
-
-        if cursor:
-            g_var = np.concatenate(col_var).astype(np.int64)
-            g_fixed = np.concatenate(col_fixed).astype(np.int64)
-            g_off = np.concatenate(col_off).astype(np.int64)
-            g_h = np.concatenate(col_h)
-            result = np.full(cursor, -1, dtype=np.int64)
-            max_h = int(g_h.max())
-            scan_plan = plan
-            if scan_plan is None:
-                scan_plan = plan_tiles(
-                    cursor, max_h, workers=workers, tile_bytes=tile_bytes
-                )
-            # Sorted by (varying schedule, offset): each tile's rows for
-            # one schedule gather from near-contiguous windows, exactly
-            # the locality the single-pair scan gets from its argsort.
-            order = np.lexsort((g_off, g_var))
-            blocks = [
-                order[lo : lo + scan_plan.block_rows]
-                for lo in range(0, order.size, scan_plan.block_rows)
-            ]
-            fixed_caches = {
-                fid: _FixedRowCache(scheds[fid], scan_plan.cells)
-                for fid in np.unique(g_fixed).tolist()
-            }
-            lanes = min(scan_plan.workers, len(blocks))
-            if lanes > 1:
-                with ThreadPoolExecutor(max_workers=lanes) as pool:
-                    futures = [
-                        pool.submit(
-                            _scan_pair_block, scheds, g_var, g_fixed, g_off,
-                            g_h, block, scan_plan.cells, fixed_caches, result,
-                            environment, xp,
-                        )
-                        for block in blocks
-                    ]
-                    for future in futures:
-                        future.result()
-            else:
-                for block in blocks:
-                    _scan_pair_block(
-                        scheds, g_var, g_fixed, g_off, g_h, block,
-                        scan_plan.cells, fixed_caches, result, environment, xp,
-                    )
-
-        for j, span in enumerate(spans):
-            if span is None:
-                continue
-            start, stop, shift_list, inverse = span
-            results[j] = scatter_ttrs(shift_list, result[start:stop], inverse)
-    return results
-
-
-def _scan_pair_block(
-    scheds: list[Schedule],
-    var_sid: np.ndarray,
-    fixed_sid: np.ndarray,
-    offsets: np.ndarray,
-    horizons: np.ndarray,
-    block: np.ndarray,
-    cells: int,
-    fixed_caches: dict[int, _FixedRowCache],
-    result: np.ndarray,
-    environment: Environment | None,
-    xp: ArrayBackend,
-) -> None:
-    """First-meet scan of one pair-major row block.
-
-    ``block`` holds indices into the global row arrays, sorted by
-    (varying schedule, offset) so each contiguous run of one schedule
-    id feeds :func:`_gather_tile` ascending offsets.  The per-chunk
-    tile stacks every live row: the varying side gathers one run per
-    schedule, the fixed side one cached window per distinct schedule
-    broadcast to its rows.  Rows carry *per-row* horizons — a row past
-    its own effective horizon retires as a miss even while rows of
-    longer-horizon jobs keep scanning, and a horizon mask clips hits in
-    the boundary chunk so a hit beyond a row's horizon never counts.
-    Blocks write disjoint ``result`` rows, so lanes compose race-free.
-    """
-    remaining = block
-    t0 = 0
-    max_h = int(horizons[block].max())
-    length = min(_INITIAL_TIME_BLOCK, max_h, max(1, cells // remaining.size))
-    while t0 < max_h and remaining.size:
-        t1 = min(t0 + length, max_h)
-        width = t1 - t0
-        with telemetry.span("stream.tile_assembly") as tile_span:
-            rows = np.empty((remaining.size, width), dtype=np.int64)
-            sids = var_sid[remaining]
-            bounds = np.flatnonzero(np.diff(sids)) + 1
-            run_edges = np.concatenate(([0], bounds, [sids.size]))
-            for lo, hi in zip(run_edges[:-1], run_edges[1:]):
-                rows[lo:hi] = _gather_tile(
-                    scheds[int(sids[lo])], offsets[remaining[lo:hi]], t0, width
-                )
-            fixed_tile = np.empty_like(rows)
-            fsids = fixed_sid[remaining]
-            for fid in np.unique(fsids).tolist():
-                fixed_tile[fsids == fid] = fixed_caches[fid].row(t0, t1)
-            tile_span.add_bytes(rows.nbytes + fixed_tile.nbytes)
-        with telemetry.span("stream.compare"):
-            eq = xp.equal(xp.from_host(rows), xp.from_host(fixed_tile))
-        if environment is not None:
-            with telemetry.span("stream.mask"):
-                mask = environment.slot_mask(
-                    rows, np.arange(t0, t1, dtype=np.int64)
-                )
-                eq = xp.logical_and(eq, xp.from_host(mask))
-        row_h = horizons[remaining]
-        if int(row_h.min()) < t1:
-            # Boundary chunk for some short-horizon row: clip its cells
-            # beyond the horizon so a later coincidence never counts.
-            with telemetry.span("stream.mask"):
-                hmask = (
-                    np.arange(t0, t1, dtype=np.int64)[np.newaxis, :]
-                    < row_h[:, np.newaxis]
-                )
-                eq = xp.logical_and(eq, xp.from_host(hmask))
-        with telemetry.span("stream.retire"):
-            hit = xp.to_host(xp.any(eq, axis=1))
-            hit_rows = remaining[hit]
-            if hit_rows.size:
-                first = xp.to_host(
-                    xp.argmax(xp.take(eq, np.flatnonzero(hit), axis=0), axis=1)
-                )
-                result[hit_rows] = t0 + first
-            # Rows that reached their own horizon hit-free stay -1.
-            remaining = remaining[~hit & (row_h > t1)]
-        t0 = t1
-        length = min(length * 2, max(1, cells // max(remaining.size, 1)))
+    with telemetry.span("scalar.sweep"):
+        return {
+            s: ttr_for_shift(a, b, s, horizon, environment=environment)
+            for s in shifts
+        }
 
 
 def reduce_shifts(
@@ -852,9 +571,7 @@ def reduce_shifts(
     pair ``(s mod period_A, 0)`` (``s >= 0``) or ``(0, -s mod
     period_B)`` (``s < 0``), so the distinct pairs are the real work
     items.  Returns ``(unique_pairs, inverse)`` with ``inverse``
-    mapping each input shift to its row in ``unique_pairs``.  This is
-    the *one* reduction both sweep engines share — bit-identical
-    results across engines depend on it staying single-sourced.
+    mapping each input shift to its row in ``unique_pairs``.
     """
     arr = np.asarray(shift_list, dtype=np.int64)
     off_a = np.where(arr >= 0, arr, 0) % a.period
@@ -928,8 +645,7 @@ def _gather_tile(
     contiguous chunk is generated and the rows are strided window views
     of it; sparse blocks assemble the whole ``(rows, width)`` index
     matrix and fetch it in a single vectorized ``channel_gather`` call
-    — the per-row Python dispatch this replaces is what dominated the
-    serial reference scan on strided Table-1 sweeps.
+    instead of one Python call per row.
     """
     base = int(offsets[0])
     span = int(offsets[-1]) - base + width
@@ -953,25 +669,20 @@ def _scan_block(
     recorder: _CheckpointRecorder | None = None,
     gid: int = 0,
     environment: Environment | None = None,
-    xp: ArrayBackend | None = None,
 ) -> None:
-    """First-meet scan of one independent shift block.
+    """The first-meet kernel: scan one independent shift block.
 
     ``block`` holds indices into ``offsets``/``result`` (ascending by
     offset); the scan writes only those rows of ``result``, so blocks
-    compose race-free across thread lanes.  Per-row semantics are
-    identical to the serial reference scan: geometric time-block
-    growth, first-meet retirement, ``-1`` for a miss.  ``start`` is the
-    resume cursor — slots before it were already scanned hit-free for
-    every row of the block — and ``recorder`` (with its sign-group id
-    ``gid``) receives retirements and frontier advances at every
-    time-block boundary.  ``environment`` ANDs its validity mask into
-    each tile's compare (channels from the varying side, slots on the
-    TTR clock).  ``xp`` is the array backend executing the tile ops;
-    tiles are assembled host-side and enter it through ``from_host``.
+    compose race-free across thread lanes.  Per row: geometric
+    time-block growth, first-meet retirement, ``-1`` for a miss.
+    ``start`` is the resume cursor — slots before it were already
+    scanned hit-free for every row of the block — and ``recorder``
+    (with its sign-group id ``gid``) receives retirements and frontier
+    advances at every time-block boundary.  ``environment`` ANDs its
+    validity mask into each tile's compare (channels from the varying
+    side, slots on the TTR clock).
     """
-    if xp is None:
-        xp = resolve_backend(None)
     remaining = block
     t0 = start
     length = min(_INITIAL_TIME_BLOCK, horizon, max(1, cells // remaining.size))
@@ -983,23 +694,15 @@ def _scan_block(
             fixed_row = fixed_rows.row(t0, t1)
             tile_span.add_bytes(rows.nbytes)
         with telemetry.span("stream.compare"):
-            eq = xp.equal(
-                xp.from_host(rows), xp.from_host(fixed_row[np.newaxis, :])
-            )
+            eq = rows == fixed_row[np.newaxis, :]
         if environment is not None:
             with telemetry.span("stream.mask"):
-                mask = environment.slot_mask(
-                    rows, np.arange(t0, t1, dtype=np.int64)
-                )
-                eq = xp.logical_and(eq, xp.from_host(mask))
+                eq &= environment.slot_mask(rows, np.arange(t0, t1, dtype=np.int64))
         with telemetry.span("stream.retire"):
-            hit = xp.to_host(xp.any(eq, axis=1))
+            hit = eq.any(axis=1)
             hit_rows = remaining[hit]
             if hit_rows.size:
-                first = xp.to_host(
-                    xp.argmax(xp.take(eq, np.flatnonzero(hit), axis=0), axis=1)
-                )
-                result[hit_rows] = t0 + first
+                result[hit_rows] = t0 + eq[hit].argmax(axis=1)
                 remaining = remaining[~hit]
         t0 = t1
         if recorder is not None:
@@ -1012,7 +715,7 @@ def _scan_block(
         recorder.update(gid, remaining, result[remaining], remaining[:0], horizon)
 
 
-def _stream_offsets(
+def _scan_offsets(
     var: Schedule,
     fixed: Schedule,
     offsets: np.ndarray,
@@ -1021,16 +724,15 @@ def _stream_offsets(
     recorder: _CheckpointRecorder | None = None,
     gid: int = 0,
     environment: Environment | None = None,
-    xp: ArrayBackend | None = None,
 ) -> np.ndarray:
-    """First-coincidence slot per offset, via the blocked parallel scan.
+    """First-coincidence slot per offset, one sign group of a sweep.
 
     ``var`` is the schedule whose phase varies per shift (windows start
     at ``offset``), ``fixed`` the one pinned at phase zero; ``-1``
     marks a miss within ``horizon``.  The sorted offset order is cut
-    into ``plan.block_rows``-wide blocks; each block scans
-    independently (one lane inline, ``plan.workers`` thread lanes
-    otherwise) and writes its own disjoint result rows.
+    into ``plan.block_rows``-wide blocks; each block runs the kernel
+    independently (inline on one lane, over ``plan.workers`` thread
+    lanes otherwise) and writes its own disjoint result rows.
 
     With a ``recorder``, rows the checkpoint already resolved are
     answered from it and excluded from the scan; the surviving rows
@@ -1068,7 +770,7 @@ def _stream_offsets(
                 pool.submit(
                     _scan_block, var, offsets, block, horizon, plan.cells,
                     fixed_rows, result, int(starts[block].min()), recorder, gid,
-                    environment, xp,
+                    environment,
                 )
                 for block in blocks
             ]
@@ -1078,94 +780,6 @@ def _stream_offsets(
         for block in blocks:
             _scan_block(
                 var, offsets, block, horizon, plan.cells, fixed_rows, result,
-                int(starts[block].min()), recorder, gid, environment, xp,
+                int(starts[block].min()), recorder, gid, environment,
             )
-    return result
-
-
-def _gather_rows_serial(
-    schedule: Schedule, offsets: np.ndarray, t0: int, width: int
-) -> np.ndarray:
-    """The reference scan's row gather: contiguous chunk or per-row calls.
-
-    ``offsets`` must be sorted ascending.  When the block's offsets are
-    close together (span no larger than the rows matrix itself), one
-    contiguous chunk is generated and the rows are strided window views
-    of it; sparse blocks generate each row independently so the chunk
-    never outgrows the tile budget.
-    """
-    base = int(offsets[0])
-    span = int(offsets[-1]) - base + width
-    if span <= offsets.size * width:
-        chunk = np.asarray(schedule.channel_block(base + t0, base + t0 + span))
-        return sliding_window_view(chunk, width)[offsets - base]
-    return np.stack(
-        [
-            np.asarray(schedule.channel_block(int(off) + t0, int(off) + t0 + width))
-            for off in offsets
-        ]
-    )
-
-
-def _stream_offsets_serial(
-    var: Schedule,
-    fixed: Schedule,
-    offsets: np.ndarray,
-    horizon: int,
-    tile_bytes: int,
-    environment: Environment | None = None,
-    xp: ArrayBackend | None = None,
-) -> np.ndarray:
-    """The reference scan: one thread, fixed budget, per-row gathers.
-
-    ``var`` is the schedule whose phase varies per shift (windows start
-    at ``offset``), ``fixed`` the one pinned at phase zero; ``-1``
-    marks a miss within ``horizon``.  ``environment`` masks each tile's
-    compare exactly as on the blocked path, and ``xp`` is the array
-    backend executing the tile ops.
-    """
-    if xp is None:
-        xp = resolve_backend(None)
-    num = offsets.size
-    result = np.full(num, -1, dtype=np.int64)
-    cells = max(1, tile_bytes // _BYTES_PER_CELL)
-    shift_block = max(1, cells // _INITIAL_TIME_BLOCK)
-    order = np.argsort(offsets, kind="stable")
-    fixed_rows = _FixedRowCache(fixed, cells)
-
-    for lo in range(0, num, shift_block):
-        remaining = order[lo : lo + shift_block]
-        t0 = 0
-        length = min(
-            _INITIAL_TIME_BLOCK, horizon, max(1, cells // remaining.size)
-        )
-        while t0 < horizon and remaining.size:
-            t1 = min(t0 + length, horizon)
-            width = t1 - t0
-            with telemetry.span("stream.tile_assembly") as tile_span:
-                rows = _gather_rows_serial(var, offsets[remaining], t0, width)
-                fixed_row = fixed_rows.row(t0, t1)
-                tile_span.add_bytes(rows.nbytes)
-            with telemetry.span("stream.compare"):
-                eq = xp.equal(
-                    xp.from_host(rows), xp.from_host(fixed_row[np.newaxis, :])
-                )
-            if environment is not None:
-                with telemetry.span("stream.mask"):
-                    mask = environment.slot_mask(
-                        rows, np.arange(t0, t1, dtype=np.int64)
-                    )
-                    eq = xp.logical_and(eq, xp.from_host(mask))
-            with telemetry.span("stream.retire"):
-                hit = xp.to_host(xp.any(eq, axis=1))
-                if hit.any():
-                    first = xp.to_host(
-                        xp.argmax(
-                            xp.take(eq, np.flatnonzero(hit), axis=0), axis=1
-                        )
-                    )
-                    result[remaining[hit]] = t0 + first
-                    remaining = remaining[~hit]
-            t0 = t1
-            length = min(length * 2, max(1, cells // max(remaining.size, 1)))
     return result

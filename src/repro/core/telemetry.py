@@ -1,6 +1,6 @@
 """Unified telemetry layer: counters, gauges, and nested timing spans.
 
-Every hot path in the stack — the three sweep engines, the runner's
+Every hot path in the stack — the sweep paths, the runner's
 pair fan-out, the schedule/result stores, the network simulator — used
 to answer "where did the time go?" with ad-hoc private counters or not
 at all.  This module is the one process-local registry they all report
@@ -9,7 +9,7 @@ into, designed around three contracts:
 * **Zero overhead when disabled.**  Telemetry is off by default.  A
   disabled :func:`span` returns one shared no-op singleton (no
   allocation, no clock read, no lock) and a disabled :func:`count` /
-  :func:`gauge` returns after a single flag test — the stream engine's
+  :func:`gauge` returns after a single flag test — the sweep kernel's
   tile loop pays a few nanoseconds per call, certified under 2% of the
   intra-pair benchmark by ``benchmarks/test_telemetry_overhead.py``
   and allocation-free by ``tests/core/test_telemetry.py``.
@@ -17,7 +17,7 @@ into, designed around three contracts:
   functions whether telemetry is on or off — it never branches on the
   flag — and no wall-clock value ever feeds a digest, cache key, or
   sweep result.  Telemetry-on and telemetry-off runs are certified
-  bit-identical across all three engines.
+  bit-identical on both sweep paths.
 * **Deterministic structure.**  A :func:`snapshot` sorts every key, so
   two runs of the same work produce the same names in the same order
   (only the measured durations differ) — immune to ``PYTHONHASHSEED``,
@@ -28,7 +28,7 @@ span("stream.sweep"): ...`` builds a tree per thread (each thread keeps
 its own stack; a span opened on a worker lane with an empty stack
 becomes its own root).  Durations come from the monotonic
 ``perf_counter_ns`` clock; ``add_bytes`` attributes throughput to a
-span (the stream engine credits each tile's bytes to
+span (the sweep kernel credits each tile's bytes to
 ``stream.tile_assembly``).  Pool workers serialize their registry with
 :func:`snapshot` and the parent folds it in with :func:`merge` — the
 ``SweepRunner`` does exactly that, so one snapshot covers a whole
@@ -147,7 +147,7 @@ class Telemetry:
 
     One module-level instance backs the functional API below; tests
     may construct private registries.  All mutation is lock-guarded so
-    thread lanes (the stream engine's block pool) aggregate safely;
+    thread lanes (the sweep kernel's block pool) aggregate safely;
     reads via :meth:`snapshot` take the same lock and therefore see a
     consistent tree.
     """

@@ -17,17 +17,17 @@ so checking the ``period_A + period_B - 1`` shift classes of
 certify guarantees, not just sample them.
 
 All scans are vectorized over numpy windows.  Multi-shift queries
-(``ttr_profile``, ``max_ttr``, ``verify_guarantee``) are computed by the
-batched engine in :mod:`repro.core.batch`, which sweeps every shift in
-one vectorized pass; ``ttr_for_shift`` remains the independent scalar
-reference path the batched engine is parity-tested against.
+(``ttr_profile``, ``max_ttr``, ``verify_guarantee``) go through
+:func:`repro.core.stream.ttr_sweep`, which sweeps every shift in one
+pass; ``ttr_for_shift`` remains the independent scalar reference every
+sweep path is certified against.
 
 Every entry point accepts an ``environment``
 (:mod:`repro.core.environment`): a deterministic per-slot validity mask
 that drops coincidences lost to primary-user churn, fading, or sensing
 error.  The mask is evaluated on the TTR clock (slots since the later
-wake-up), and the scalar path here is the reference the masked batched
-and streaming engines are parity-certified against.
+wake-up), and the scalar path here is the reference the masked sweep
+kernel is parity-certified against.
 :func:`degradation_report` is the guarantee-under-fault view: instead
 of a bare bool it reports which shift classes lost the meeting
 guarantee and how far TTRs inflated.
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core import batch
+from repro.core import stream
 from repro.core.environment import Environment
 from repro.core.schedule import Schedule
 
@@ -120,21 +120,18 @@ def ttr_profile(
     b: Schedule,
     shifts: Iterable[int],
     horizon: int,
-    engine: str = "auto",
     tile_bytes: int | None = None,
     stream_workers: int | None = None,
     environment: Environment | None = None,
 ) -> dict[int, int | None]:
     """TTR for each relative shift; ``None`` marks a miss within horizon.
 
-    ``engine`` / ``tile_bytes`` / ``stream_workers`` select and tune
-    the sweep engine (see :func:`repro.core.batch.ttr_sweep`); the
-    default dispatches on period size, auto-tunes the streaming tile
-    plan, and all engines are bit-identical — with or without an
-    ``environment`` mask.
+    ``tile_bytes`` / ``stream_workers`` tune the sweep kernel (see
+    :func:`repro.core.stream.ttr_sweep`); neither changes a result,
+    with or without an ``environment`` mask.
     """
-    return batch.ttr_sweep(
-        a, b, shifts, horizon, engine=engine, tile_bytes=tile_bytes,
+    return stream.ttr_sweep(
+        a, b, shifts, horizon, tile_bytes=tile_bytes,
         stream_workers=stream_workers, environment=environment,
     )
 
@@ -144,7 +141,7 @@ def exhaustive_shift_range(a: Schedule, b: Schedule) -> range:
 
     A nonnegative shift ``s`` (B wakes later) only enters the
     comparison through the phase offset ``s mod period_A``; a negative
-    one through ``-s mod period_B`` (see :mod:`repro.core.batch`).  So
+    one through ``-s mod period_B`` (see :mod:`repro.core.stream`).  So
     ``range(-period_B + 1, period_A)`` hits every distinct joint
     behaviour of both signs exactly once — ``period_A + period_B - 1``
     shifts, instead of the ``lcm(period_A, period_B)`` a naive full
@@ -173,7 +170,6 @@ def max_ttr(
     b: Schedule,
     shifts: Iterable[int],
     horizon: int,
-    engine: str = "auto",
     tile_bytes: int | None = None,
     stream_workers: int | None = None,
     environment: Environment | None = None,
@@ -184,13 +180,12 @@ def max_ttr(
     callers that expect guaranteed rendezvous should size the horizon
     above the theoretical bound (under an ``environment``, prefer
     :func:`degradation_report`: losing shifts is the object of study
-    there, not an error).  ``engine`` / ``tile_bytes`` /
-    ``stream_workers`` pass through to
-    :func:`repro.core.batch.ttr_sweep`.
+    there, not an error).  ``tile_bytes`` / ``stream_workers`` pass
+    through to :func:`repro.core.stream.ttr_sweep`.
     """
     worst = -1
     for shift, ttr in ttr_profile(
-        a, b, shifts, horizon, engine=engine, tile_bytes=tile_bytes,
+        a, b, shifts, horizon, tile_bytes=tile_bytes,
         stream_workers=stream_workers, environment=environment,
     ).items():
         if ttr is None:
@@ -206,7 +201,6 @@ def verify_guarantee(
     b: Schedule,
     bound: int,
     shifts: Iterable[int] | None = None,
-    engine: str = "auto",
     tile_bytes: int | None = None,
     stream_workers: int | None = None,
     environment: Environment | None = None,
@@ -215,10 +209,10 @@ def verify_guarantee(
 
     Returns ``(ok, worst_ttr, failing_shift)``.  With ``shifts=None`` the
     exhaustive shift range is used (exact certification for cyclic
-    schedules).  ``engine`` / ``tile_bytes`` / ``stream_workers`` pass
-    through to :func:`repro.core.batch.ttr_sweep` — with the streaming
-    engine this certification works even on schedules whose period is
-    too large to table.  ``environment`` checks the guarantee under a
+    schedules).  ``tile_bytes`` / ``stream_workers`` pass through to
+    :func:`repro.core.stream.ttr_sweep`, whose kernel never tables a
+    period, so this certification works at any period size.
+    ``environment`` checks the guarantee under a
     fault mask; when the question is *which* shifts lost it and by how
     much, use :func:`degradation_report` instead.
     """
@@ -230,8 +224,8 @@ def verify_guarantee(
         pending = [s for _, s in zip(range(4096), shift_iter)]
         if not pending:
             return True, worst, None
-        profile = batch.ttr_sweep(
-            a, b, pending, bound + 1, engine=engine, tile_bytes=tile_bytes,
+        profile = stream.ttr_sweep(
+            a, b, pending, bound + 1, tile_bytes=tile_bytes,
             stream_workers=stream_workers, environment=environment,
         )
         for shift in pending:
@@ -252,8 +246,8 @@ class DegradationReport:
     ``(faulted + 1) / (clean + 1)`` (the +1 keeps slot-0 meetings
     finite) and summarized by its mean and max; ``faulted_worst`` is
     ``None`` when no shift survived.  Reports are plain data, built
-    from bit-identical engine profiles, so the report itself is
-    bit-identical across scalar/batched/stream.
+    from sweep profiles that are bit-identical under every tile plan
+    and lane count, so the report is too.
     """
 
     bound: int
@@ -299,7 +293,6 @@ def degradation_report(
     bound: int,
     environment: Environment | None,
     shifts: Iterable[int] | None = None,
-    engine: str = "auto",
     tile_bytes: int | None = None,
     stream_workers: int | None = None,
 ) -> DegradationReport:
@@ -312,9 +305,8 @@ def degradation_report(
     distribution over the survivors.  ``shifts=None`` uses the
     exhaustive shift range (exact certification); ``environment=None``
     degenerates to a report with every shift surviving at inflation
-    1.0.  Engine knobs pass through to
-    :func:`repro.core.batch.ttr_sweep`, and because both profiles are
-    bit-identical across engines, so is the report.
+    1.0.  Kernel knobs pass through to
+    :func:`repro.core.stream.ttr_sweep`; no knob changes the report.
     """
     from repro.core.environment import environment_digest as _env_digest
 
@@ -323,9 +315,9 @@ def degradation_report(
     if shifts is None:
         shifts = exhaustive_shift_range(a, b)
     shift_list = [int(s) for s in shifts]
-    sweep = dict(engine=engine, tile_bytes=tile_bytes, stream_workers=stream_workers)
-    clean = batch.ttr_sweep(a, b, shift_list, bound + 1, **sweep)
-    faulted = batch.ttr_sweep(
+    sweep = dict(tile_bytes=tile_bytes, stream_workers=stream_workers)
+    clean = stream.ttr_sweep(a, b, shift_list, bound + 1, **sweep)
+    faulted = stream.ttr_sweep(
         a, b, shift_list, bound + 1, environment=environment, **sweep
     )
     lost: list[int] = []

@@ -2,7 +2,7 @@
 
 Two metric families live here.  The pair family (:class:`TTRStats`,
 :func:`summarize_ttrs`, :func:`summarize_profile`) summarizes
-time-to-rendezvous samples from the sweep engines.  The population
+time-to-rendezvous samples from shift sweeps.  The population
 family works over whole-network discovery runs: a
 :class:`DiscoveryProfile` — first-meet times with agent-pair weights,
 produced by both the vectorized core
@@ -74,7 +74,7 @@ def _percentile(ordered: list[int], q: float) -> float:
 def summarize_profile(
     profile: Mapping[int, int | None],
 ) -> tuple[TTRStats | None, list[int]]:
-    """Summarize a shift -> TTR profile from the batched sweep engine.
+    """Summarize a shift -> TTR profile from :func:`repro.ttr_sweep`.
 
     Returns ``(stats over the shifts that rendezvoused, shifts that
     missed)``; stats are ``None`` when every shift missed.

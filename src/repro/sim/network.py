@@ -18,10 +18,10 @@ bit-identical events:
 * ``engine="auto"`` — pairwise below
   :data:`AUTO_VECTORIZE_MIN_AGENTS` agents, vectorized from there up.
 
-The split mirrors the verification stack, where
-``ttr_sweep_stream_serial`` certifies the streaming engine: the slow
-loop stays verbatim as the reference and the fast path must match it
-exactly (``tests/sim/test_netcore.py``).
+The split mirrors the verification stack, where the scalar
+``ttr_for_shift`` certifies the sweep kernel: the slow loop stays
+verbatim as the reference and the fast path must match it exactly
+(``tests/sim/test_netcore.py``).
 """
 
 from __future__ import annotations

@@ -10,9 +10,9 @@ The heavy lifting happens in :class:`SweepRunner`:
 * schedules are cached per ``(channels, n, algorithm, seed)`` — in an
   instance with many agents the same channel set is never rebuilt for
   each pair it appears in;
-* every pair's shift sweep goes through the batched engine
-  (:func:`repro.core.batch.ttr_sweep`), one vectorized pass instead of a
-  Python loop over shifts;
+* every pair's shift sweep goes through
+  :func:`repro.core.stream.ttr_sweep`, one pass instead of a Python
+  loop over shifts;
 * instances with many pairs fan out across a
   ``concurrent.futures.ProcessPoolExecutor`` (worker count configurable,
   default ``os.cpu_count()``); small jobs stay serial, where the
@@ -26,8 +26,8 @@ The heavy lifting happens in :class:`SweepRunner`:
   *measurements* persist: a repeat query is answered from disk before
   any schedule is built, which is the serving layer behind
   ``python -m repro serve``;
-* with a ``checkpoint_dir``, streaming sweeps snapshot their progress
-  and resume after an interruption, bit-identically.
+* with a ``checkpoint_dir``, sweeps snapshot their progress and resume
+  after an interruption, bit-identically.
 
 Shift policy: the asynchronous guarantee quantifies over *all* relative
 wake-up offsets — both wake orders.  A nonnegative shift only acts
@@ -55,13 +55,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core import telemetry
-from repro.core.backend import ArrayBackend, resolve_backend
-from repro.core.batch import ENGINES, ttr_sweep, ttr_sweep_pairs
 from repro.core.environment import Environment, environment_digest, parse_environment
 from repro.core.results import ResultStore, pair_query, result_digest
 from repro.core.schedule import Schedule
 from repro.core.store import ScheduleStore, build_plain, store_key
-from repro.core.stream import SweepCheckpoint
+from repro.core.stream import SweepCheckpoint, ttr_sweep
 from repro.sim.metrics import TTRStats, summarize_ttrs
 from repro.sim.workloads import Instance
 
@@ -131,7 +129,7 @@ def shift_plan(
 
 
 class SweepRunner:
-    """Batched, schedule-caching, optionally parallel sweep engine.
+    """Schedule-caching, optionally parallel pair-measurement harness.
 
     **Caching contract.** One runner owns one schedule cache, keyed by
     :func:`~repro.core.store.store_key` — ``(channels, n, algorithm,
@@ -153,28 +151,12 @@ class SweepRunner:
     fanning out, so worker processes never build at all; the store's
     ``builds``/``attaches`` counters certify it.
 
-    **Engine contract.** ``engine`` / ``tile_bytes`` pass straight
-    through to :func:`repro.core.batch.ttr_sweep` for every pair the
-    runner measures (workers included): ``"auto"`` dispatches per pair
-    on period size — batched tables up to the limit, the streaming
-    tiled engine beyond it — so huge-period baselines (Jump-Stay at
-    ``n >= 128``) sweep transparently; forcing ``"stream"`` or
-    ``"batched"`` pins the path, and every engine is bit-identical.
-
-    **Backend & pair-major contract.** ``backend`` selects the array
-    library executing the streaming tile ops (a
-    :func:`repro.core.backend.resolve_backend` spec, threaded through
-    every sweep including pool workers, which receive the spec — or a
-    registered instance's name — in their payload).  ``pair_major``
-    controls pair-major stacking on the *serial* path: ``"auto"`` (the
-    default) batches every uncached pair of a multi-pair job into one
-    :func:`repro.core.batch.ttr_sweep_pairs` tile pass whenever the
-    streaming engine is reachable and no checkpoint directory is
-    attached; ``True`` requires that configuration (raising otherwise);
-    ``False`` keeps the per-pair loop.  Stacked results are
-    bit-identical to per-pair ones, cache consultation and write-
-    through per pair included; the process-pool path is per-pair
-    regardless (each worker owns disjoint pairs already).
+    **Sweep contract.** Every pair the runner measures (workers
+    included) goes through :func:`repro.core.stream.ttr_sweep`, with
+    ``tile_bytes`` and the pair's lane count passed straight through:
+    the scalar loop for tiny joint periods, the blocked kernel for
+    everything else, so huge-period baselines (Jump-Stay at
+    ``n >= 128``) sweep transparently.  No knob changes a result.
 
     **Process-pool contract.** ``measure_instance`` stays serial below
     ``MIN_PARALLEL_PAIRS`` pairs or when ``workers <= 1`` — there the
@@ -192,41 +174,32 @@ class SweepRunner:
     ``measure_pair`` consults the persistent result cache *before
     building any schedule* — a warm query costs one shard read, not a
     sweep — and writes every computed measurement through after.  The
-    cache key is engine-invariant (see
+    cache key is knob-invariant (see
     :func:`repro.core.results.pair_query`), so results computed under
-    any engine/tile/lane configuration answer queries made under any
-    other; parallel ``measure_instance`` workers consult and fill the
+    any tile/lane configuration answer queries made under any other;
+    parallel ``measure_instance`` workers consult and fill the
     same on-disk cache.
 
-    **Checkpoint contract.** With ``checkpoint_dir=``, every
-    streaming-engine sweep snapshots its progress into
-    ``<query digest>.ckpt.json`` under that directory (see
-    :class:`~repro.core.stream.SweepCheckpoint`): an interrupted
-    measurement resumes from the snapshot on rerun and the completed
-    sweep deletes it.  Resumed profiles are bit-identical to
-    uninterrupted ones.  Checkpointing rides the streaming engine, so
-    ``engine="auto"`` dispatches checkpointed sweeps to it; forcing
-    ``"batched"``/``"scalar"`` alongside a checkpoint directory raises.
+    **Checkpoint contract.** With ``checkpoint_dir=``, every sweep
+    snapshots its progress into ``<query digest>.ckpt.json`` under
+    that directory (see :class:`~repro.core.stream.SweepCheckpoint`):
+    an interrupted measurement resumes from the snapshot on rerun and
+    the completed sweep deletes it.  Resumed profiles are bit-identical
+    to uninterrupted ones.
 
-    **Worker-budget contract.** ``workers`` is *one* budget spent on
-    two axes: across pairs (the process pool) or within a pair (the
-    streaming engine's intra-pair thread lanes,
-    :func:`repro.core.stream.ttr_sweep_stream`).
-    :meth:`worker_budget` resolves it per job: a job big enough to fan
-    out gives every process to the pair fan-out and keeps each pair's
-    scan single-lane (cores are already saturated; nested parallelism
-    would only thrash), while a small job — few pairs, or one huge-
-    period pair — stays in one process and hands the whole budget to
-    the intra-pair scan.  ``stream_workers`` pins the per-pair lane
-    count on both paths instead (``None`` keeps the automatic split).
-    Every split is bit-identical; see ``docs/TUNING.md``.
+    **Worker-budget contract.** ``workers`` sizes the process pool
+    across pairs; each pair's sweep runs on one lane.
+    ``stream_workers`` opts every pair's sweep into that many
+    intra-pair thread lanes instead (:func:`repro.core.stream.ttr_sweep`)
+    — worth it only for large strided sweeps, see ``docs/TUNING.md``.
+    Every split is bit-identical.
 
     **Environment contract.** With ``environment=`` (an
     :class:`~repro.core.environment.Environment`, or a spec string for
     :func:`~repro.core.environment.parse_environment`), every sweep the
     runner performs — serial or fanned out — runs under that fault
     model: the mask passes straight through to
-    :func:`repro.core.batch.ttr_sweep`, the environment's canonical
+    :func:`repro.core.stream.ttr_sweep`, the environment's canonical
     spec joins the result-cache query (faulted and clean measurements
     can never answer each other), and its digest joins the worker
     runner key and any checkpoint digest.  Misses stop raising and are
@@ -238,14 +211,11 @@ class SweepRunner:
         self,
         workers: int | None = None,
         store: ScheduleStore | str | os.PathLike | None = None,
-        engine: str = "auto",
         tile_bytes: int | None = None,
         stream_workers: int | None = None,
         results: ResultStore | str | os.PathLike | None = None,
         checkpoint_dir: str | os.PathLike | None = None,
         environment: Environment | str | None = None,
-        backend: ArrayBackend | str | None = "auto",
-        pair_major: bool | str = "auto",
     ):
         self.workers = os.cpu_count() or 1 if workers is None else max(1, workers)
         if store is not None and not isinstance(store, ScheduleStore):
@@ -257,9 +227,6 @@ class SweepRunner:
         self.checkpoint_dir = (
             None if checkpoint_dir is None else Path(checkpoint_dir)
         )
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-        self.engine = engine
         self.tile_bytes = tile_bytes
         if stream_workers is not None and stream_workers < 1:
             raise ValueError(
@@ -269,31 +236,6 @@ class SweepRunner:
         if isinstance(environment, str):
             environment = parse_environment(environment)
         self.environment = environment
-        # Resolve eagerly so a bad spec fails here, not mid-sweep; the
-        # original spec is kept for picklable worker payloads.
-        resolved = resolve_backend(backend)
-        if resolved.name != "numpy" and engine not in ("auto", "stream"):
-            raise ValueError(
-                f"backend {resolved.name!r} needs the streaming engine, "
-                f"got engine={engine!r}"
-            )
-        self.backend = backend
-        if pair_major not in (True, False, "auto"):
-            raise ValueError(
-                f"pair_major must be True, False, or 'auto', got {pair_major!r}"
-            )
-        if pair_major is True:
-            if engine not in ("auto", "stream"):
-                raise ValueError(
-                    "pair-major stacking needs the streaming engine, "
-                    f"got engine={engine!r}"
-                )
-            if checkpoint_dir is not None:
-                raise ValueError(
-                    "pair-major stacking does not support checkpointing; "
-                    "use pair_major=False with checkpoint_dir"
-                )
-        self.pair_major = pair_major
         self._schedules: dict[
             tuple[frozenset[int], int, str, int], Schedule
         ] = {}
@@ -386,9 +328,9 @@ class SweepRunner:
         Under an attached fault environment misses are expected, so
         they are tallied in :attr:`MeasuredPair.missed` instead of
         raising and the aggregates cover only the shifts that met.
-        ``stream_workers`` pins the intra-pair streaming lanes for this
-        one measurement; ``None`` takes the runner's one-pair budget
-        (see :meth:`worker_budget`).
+        ``stream_workers`` pins the intra-pair lanes for this one
+        measurement; ``None`` takes the runner's lane count (see
+        :meth:`worker_budget`).
 
         With a result store attached, a cached measurement is returned
         *before any schedule is built* (the warm-query fast path) and a
@@ -423,61 +365,37 @@ class SweepRunner:
                     self.checkpoint_dir / f"{result_digest(query)}.ckpt.json"
                 )
             profile = ttr_sweep(
-                a, b, plan, horizon, engine=self.engine,
-                tile_bytes=self.tile_bytes, stream_workers=stream_workers,
-                checkpoint=checkpoint, environment=self.environment,
-                backend=self.backend,
+                a, b, plan, horizon, tile_bytes=self.tile_bytes,
+                stream_workers=stream_workers, checkpoint=checkpoint,
+                environment=self.environment,
             )
-            measured = self._finalize_pair(
-                instance, algorithm, pair, horizon, plan, profile, query
-            )
+            missed = 0
+            samples = []
+            for shift in plan:
+                ttr = profile[shift]
+                if ttr is None:
+                    if self.environment is None:
+                        raise AssertionError(
+                            f"{algorithm} missed rendezvous within {horizon} "
+                            f"slots for pair {pair} at shift {shift} "
+                            f"(sets {sorted(instance.sets[i])} / "
+                            f"{sorted(instance.sets[j])})"
+                        )
+                    missed += 1
+                else:
+                    samples.append(ttr)
+            if samples:
+                worst, stats = max(samples), summarize_ttrs(samples)
+            else:
+                # Every shift lost the guarantee: sentinel aggregates, the
+                # miss count carries the whole story.
+                worst, stats = -1, TTRStats(0, 0.0, 0.0, 0.0, -1, -1)
+            measured = MeasuredPair(algorithm, pair, worst, stats, missed)
+            if self.results is not None:
+                self.results.put(query, _measured_record(measured))
             if checkpoint is not None:
                 checkpoint.clear()
             return measured
-
-    def _finalize_pair(
-        self,
-        instance: Instance,
-        algorithm: str,
-        pair: tuple[int, int],
-        horizon: int,
-        plan: list[int],
-        profile: dict[int, int | None],
-        query: dict | None,
-    ) -> MeasuredPair:
-        """Aggregate one pair's profile and write it through the cache.
-
-        Shared tail of :meth:`measure_pair` and the pair-major stacked
-        path: tally misses (raising on a clean-run miss, counting them
-        under a fault environment), summarize the samples, and persist
-        the measurement when a result store is attached.
-        """
-        i, j = pair
-        missed = 0
-        samples = []
-        for shift in plan:
-            ttr = profile[shift]
-            if ttr is None:
-                if self.environment is None:
-                    raise AssertionError(
-                        f"{algorithm} missed rendezvous within {horizon} "
-                        f"slots for pair {pair} at shift {shift} "
-                        f"(sets {sorted(instance.sets[i])} / "
-                        f"{sorted(instance.sets[j])})"
-                    )
-                missed += 1
-            else:
-                samples.append(ttr)
-        if samples:
-            worst, stats = max(samples), summarize_ttrs(samples)
-        else:
-            # Every shift lost the guarantee: sentinel aggregates, the
-            # miss count carries the whole story.
-            worst, stats = -1, TTRStats(0, 0.0, 0.0, 0.0, -1, -1)
-        measured = MeasuredPair(algorithm, pair, worst, stats, missed)
-        if self.results is not None:
-            self.results.put(query, _measured_record(measured))
-        return measured
 
     def pair_query_for(
         self,
@@ -515,20 +433,13 @@ class SweepRunner:
     def worker_budget(self, num_pairs: int) -> tuple[int, int]:
         """Split the worker budget: ``(pair_processes, stream_lanes)``.
 
-        One budget, two axes.  Jobs that fan out across pairs
-        (``effective_workers > 1``) give every process to the pair pool
-        and keep each pair's streaming scan at one lane — the cores are
-        already saturated, and nested intra-pair threads would only
-        contend.  Jobs that stay serial (fewer than
-        ``MIN_PARALLEL_PAIRS`` pairs) hand the entire budget to the
-        intra-pair scan, so a single huge-period pair still uses every
-        core.  A pinned ``stream_workers`` overrides the per-pair lane
-        count on both paths.
+        Processes go to the pair fan-out (``effective_workers``); every
+        pair's sweep runs on one lane unless ``stream_workers`` opts it
+        into more.  Extra lanes pay only on large strided sweeps — on
+        the small sweeps most jobs run, starting the thread pool costs
+        more than it saves (``docs/TUNING.md``).
         """
-        pool = self.effective_workers(num_pairs)
-        if self.stream_workers is not None:
-            return pool, self.stream_workers
-        return pool, 1 if pool > 1 else self.workers
+        return self.effective_workers(num_pairs), self.stream_workers or 1
 
     def measure_instance(
         self,
@@ -569,17 +480,12 @@ class SweepRunner:
             checkpoint_handle = (
                 None if self.checkpoint_dir is None else str(self.checkpoint_dir)
             )
-            backend_spec = (
-                self.backend.name
-                if isinstance(self.backend, ArrayBackend)
-                else self.backend
-            )
             payloads = [
                 (
                     instance, algorithm, pair, horizon, dense, probes, seed,
-                    store_handle, self.engine, self.tile_bytes, stream_lanes,
+                    store_handle, self.tile_bytes, stream_lanes,
                     results_handle, checkpoint_handle, self.environment,
-                    backend_spec, telemetry.enabled(),
+                    telemetry.enabled(),
                 )
                 for pair in pairs
             ]
@@ -600,12 +506,6 @@ class SweepRunner:
             return [measured for measured, _ in outcomes]
         with telemetry.span("runner.serial"):
             telemetry.count("runner.serial_pairs", len(pairs))
-            if self._use_pair_major(len(pairs)):
-                return self._measure_pairs_stacked(
-                    instance, algorithm, pairs, horizon,
-                    dense=dense, probes=probes, seed=seed,
-                    stream_lanes=stream_lanes,
-                )
             return [
                 self.measure_pair(
                     instance, algorithm, pair, horizon,
@@ -614,88 +514,6 @@ class SweepRunner:
                 )
                 for pair in pairs
             ]
-
-    def _use_pair_major(self, num_pairs: int) -> bool:
-        """Whether a serial job of ``num_pairs`` pairs scans pair-major.
-
-        ``pair_major=False`` never stacks; ``True`` always does (the
-        incompatible configurations were rejected at construction);
-        ``"auto"`` stacks whenever stacking is available — the
-        streaming engine reachable (``engine`` auto or stream), no
-        checkpoint directory (the stacked scan is not resumable) — and
-        there is more than one pair to amortize across.
-        """
-        if self.pair_major is False:
-            return False
-        if self.checkpoint_dir is not None or self.engine not in ("auto", "stream"):
-            return False
-        if self.pair_major is True:
-            return True
-        return num_pairs >= 2
-
-    def _measure_pairs_stacked(
-        self,
-        instance: Instance,
-        algorithm: str,
-        pairs: list[tuple[int, int]],
-        horizon: int,
-        dense: int,
-        probes: int,
-        seed: int,
-        stream_lanes: int,
-    ) -> list[MeasuredPair]:
-        """Measure a serial job through one pair-major tile pass.
-
-        Per-pair bookkeeping is unchanged from :meth:`measure_pair` —
-        the result cache is consulted first (warm pairs never enter the
-        scan), schedules come from the shared cache, and computed
-        measurements are written through — but every uncached pair's
-        shift plan joins one :func:`repro.core.batch.ttr_sweep_pairs`
-        call, so the whole grid shares a single tile pass instead of
-        one engine dispatch per pair.  Results are bit-identical to the
-        per-pair loop and return in pair order.
-        """
-        measured: list[MeasuredPair | None] = [None] * len(pairs)
-        jobs: list[tuple[Schedule, Schedule, list[int]]] = []
-        meta: list[tuple[int, tuple[int, int], list[int], dict | None]] = []
-        for idx, pair in enumerate(pairs):
-            with telemetry.span("runner.measure_pair"):
-                i, j = pair
-                query = None
-                if self.results is not None:
-                    query = self.pair_query_for(
-                        instance, algorithm, pair, horizon, dense, probes, seed
-                    )
-                    cached = self.results.get(query)
-                    if cached is not None:
-                        measured[idx] = _measured_from_record(
-                            algorithm, pair, cached
-                        )
-                        continue
-                a = self.schedule_for(
-                    instance.sets[i], instance.n, algorithm, seed * 1000 + i
-                )
-                b = self.schedule_for(
-                    instance.sets[j], instance.n, algorithm, seed * 1000 + j
-                )
-                plan = shift_plan(a, b, dense=dense, probes=probes, seed=seed)
-                if not plan:
-                    raise ValueError(
-                        "empty shift plan: need dense > 0 or probes > 0"
-                    )
-                jobs.append((a, b, plan))
-                meta.append((idx, pair, plan, query))
-        if jobs:
-            profiles = ttr_sweep_pairs(
-                jobs, horizon, engine=self.engine,
-                tile_bytes=self.tile_bytes, stream_workers=stream_lanes,
-                environment=self.environment, backend=self.backend,
-            )
-            for (idx, pair, plan, query), profile in zip(meta, profiles):
-                measured[idx] = self._finalize_pair(
-                    instance, algorithm, pair, horizon, plan, profile, query
-                )
-        return measured
 
 
 def _measured_record(measured: MeasuredPair) -> dict:
@@ -739,7 +557,7 @@ def _measured_from_record(
     )
 
 
-# One runner per (worker process, store handle, engine config), so the
+# One runner per (worker process, store handle, sweep config), so the
 # schedule cache — and the store attachment — survives across the tasks
 # that land on that worker.
 _WORKER_RUNNERS: dict[tuple, SweepRunner] = {}
@@ -757,14 +575,12 @@ def _measure_pair_task(payload: tuple) -> tuple[MeasuredPair, dict | None]:
     """
     (
         instance, algorithm, pair, horizon, dense, probes, seed,
-        store_handle, engine, tile_bytes, stream_lanes,
-        results_handle, checkpoint_handle, environment, backend_spec,
-        telemetry_on,
+        store_handle, tile_bytes, stream_lanes,
+        results_handle, checkpoint_handle, environment, telemetry_on,
     ) = payload
     runner_key = (
-        store_handle, engine, tile_bytes, stream_lanes,
+        store_handle, tile_bytes, stream_lanes,
         results_handle, checkpoint_handle, environment_digest(environment),
-        backend_spec,
     )
     runner = _WORKER_RUNNERS.get(runner_key)
     if runner is None:
@@ -779,10 +595,9 @@ def _measure_pair_task(payload: tuple) -> tuple[MeasuredPair, dict | None]:
             results_dir, results_cap = results_handle
             results = ResultStore(results_dir, memory_cap=results_cap)
         runner = SweepRunner(
-            workers=1, store=store, engine=engine, tile_bytes=tile_bytes,
+            workers=1, store=store, tile_bytes=tile_bytes,
             stream_workers=stream_lanes, results=results,
             checkpoint_dir=checkpoint_handle, environment=environment,
-            backend=backend_spec,
         )
         _WORKER_RUNNERS[runner_key] = runner
     if not telemetry_on:

@@ -14,7 +14,7 @@ from repro.baselines.asyncetch import (
     asyncetch_global_channel,
     asyncetch_period,
 )
-from repro.core.batch import ttr_sweep
+from repro.core.stream import ttr_sweep
 from repro.core.verification import (
     exhaustive_shift_range,
     ttr_for_shift,

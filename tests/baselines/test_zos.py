@@ -13,7 +13,7 @@ from repro.baselines.zos import (
     collision_free_modulus,
     zos_period,
 )
-from repro.core.batch import ttr_sweep
+from repro.core.stream import ttr_sweep
 from repro.core.verification import (
     exhaustive_shift_range,
     ttr_for_shift,

@@ -1,18 +1,25 @@
-"""Parity tests: the batched sweep engine vs the scalar reference path.
+"""Parity tests: the batched shift sweep vs the scalar reference path.
 
-The contract is bit-identical profiles: for every workload the library
+``ttr_sweep`` answers a whole batch of shifts in one call.  The
+contract is bit-identical profiles: for every workload the library
 ships, ``ttr_sweep`` must return exactly what a per-shift loop over
 ``ttr_for_shift`` returns — including ``None`` misses, negative shifts,
-duplicate shifts, and degenerate horizons.
+duplicate shifts, and degenerate horizons — and its dispatch between
+the scalar loop and the kernel depends on the joint period alone.
+Kernel mechanics (tiles, lanes, checkpoints) are tested in
+``test_stream.py``.
 """
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 import repro
-from repro.core import batch
-from repro.core.schedule import CyclicSchedule, FunctionSchedule
+from repro.core import stream, telemetry
+from repro.core.schedule import _CACHE_LIMIT, CyclicSchedule, FunctionSchedule
+from repro.core.stream import SCALAR_JOINT_LIMIT, ttr_sweep
 from repro.core.verification import (
     exhaustive_shift_range,
     max_ttr,
@@ -56,7 +63,7 @@ def test_parity_across_workloads(kind, algorithm):
         a = repro.build_schedule(instance.sets[i], instance.n, algorithm=algorithm)
         b = repro.build_schedule(instance.sets[j], instance.n, algorithm=algorithm)
         horizon = 4 * max(a.period, b.period)
-        assert batch.ttr_sweep(a, b, SHIFTS, horizon) == _scalar(a, b, SHIFTS, horizon)
+        assert ttr_sweep(a, b, SHIFTS, horizon) == _scalar(a, b, SHIFTS, horizon)
 
 
 @pytest.mark.parametrize("kind", sorted(WORKLOADS))
@@ -68,7 +75,7 @@ def test_parity_on_tight_horizon_misses(kind):
     b = repro.build_schedule(instance.sets[j], instance.n)
     for horizon in (1, 2, 5, 17):
         shifts = list(range(-30, 90))
-        swept = batch.ttr_sweep(a, b, shifts, horizon)
+        swept = ttr_sweep(a, b, shifts, horizon)
         assert swept == _scalar(a, b, shifts, horizon)
         assert any(t is None for t in swept.values()) or horizon > 5
 
@@ -78,13 +85,13 @@ def test_parity_exhaustive_range():
     b = CyclicSchedule([9, 9, 2, 9, 9, 1])
     shifts = list(exhaustive_shift_range(a, b))
     assert len(shifts) == a.period + b.period - 1
-    assert batch.ttr_sweep(a, b, shifts, 500) == _scalar(a, b, shifts, 500)
+    assert ttr_sweep(a, b, shifts, 500) == _scalar(a, b, shifts, 500)
 
 
 def test_parity_disjoint_schedules_all_miss():
     a, b = CyclicSchedule([1, 2]), CyclicSchedule([3, 4, 5])
     shifts = list(range(-12, 25))
-    swept = batch.ttr_sweep(a, b, shifts, 100_000)
+    swept = ttr_sweep(a, b, shifts, 100_000)
     assert swept == {s: None for s in shifts}
 
 
@@ -93,46 +100,46 @@ def test_lcm_early_stop_matches_full_horizon_scan():
     change any answer (the joint pattern is periodic)."""
     a, b = CyclicSchedule([1, 2, 7]), CyclicSchedule([7, 5])
     shifts = list(range(-6, 12))
-    assert batch.ttr_sweep(a, b, shifts, 10**9) == _scalar(a, b, shifts, 10_000)
+    assert ttr_sweep(a, b, shifts, 10**9) == _scalar(a, b, shifts, 10_000)
 
 
 def test_chunking_is_invisible():
-    """Tiny block budgets exercise both chunk axes without changing results."""
+    """Tiny tile budgets exercise both chunk axes without changing results."""
     instance = single_overlap(32, 3, 4, seed=7)
     a = repro.build_schedule(instance.sets[0], 32)
     b = repro.build_schedule(instance.sets[1], 32)
     shifts = list(range(-50, 400))
-    reference = batch.ttr_sweep(a, b, shifts, 20_000)
-    for max_cells in (1, 64, 1024):
-        assert batch.ttr_sweep(a, b, shifts, 20_000, max_cells=max_cells) == reference
+    reference = ttr_sweep(a, b, shifts, 20_000)
+    for tile_bytes in (8, 512, 8192):
+        assert ttr_sweep(a, b, shifts, 20_000, tile_bytes=tile_bytes) == reference
 
 
 def test_duplicate_and_empty_shift_lists():
     a, b = CyclicSchedule([1, 2, 3]), CyclicSchedule([3, 1])
-    assert batch.ttr_sweep(a, b, [], 100) == {}
-    dup = batch.ttr_sweep(a, b, [4, 4, -4, 4], 100)
+    assert ttr_sweep(a, b, [], 100) == {}
+    dup = ttr_sweep(a, b, [4, 4, -4, 4], 100)
     assert set(dup) == {4, -4}
     assert dup == _scalar(a, b, [4, -4], 100)
 
 
 def test_zero_horizon_is_all_misses():
     a, b = CyclicSchedule([1]), CyclicSchedule([1])
-    assert batch.ttr_sweep(a, b, [0, 3], 0) == {0: None, 3: None}
+    assert ttr_sweep(a, b, [0, 3], 0) == {0: None, 3: None}
 
 
 def test_huge_period_fallback_matches_scalar():
-    """Periods past BATCH_TABLE_LIMIT skip table materialization entirely
-    (building the table would dwarf the sweep) and dispatch to the
-    streaming tiled engine, which only evaluates the slots it scans —
-    bit-identical to the scalar reference."""
-    period = batch.BATCH_TABLE_LIMIT + 1
+    """Periods past the schedule cache limit never materialize a table
+    (building it would dwarf the sweep): the kernel only evaluates the
+    slots it scans — bit-identical to the scalar reference."""
+    period = _CACHE_LIMIT + 1
     a = FunctionSchedule(lambda t: t % 3, period, channels=frozenset({0, 1, 2}))
     b = CyclicSchedule([2, 0])
     shifts = [0, 1, 5, -3]
-    assert batch.ttr_sweep(a, b, shifts, 50) == _scalar(a, b, shifts, 50)
+    assert ttr_sweep(a, b, shifts, 50) == _scalar(a, b, shifts, 50)
 
 
 def test_ttr_profile_goes_through_batch_engine():
+    """``ttr_profile`` is ``ttr_sweep`` over the caller's shift batch."""
     instance = symmetric(16, 3, 2, seed=3)
     a = repro.build_schedule(instance.sets[0], 16, algorithm="paper-symmetric")
     b = repro.build_schedule(instance.sets[1], 16, algorithm="paper-symmetric")
@@ -158,58 +165,41 @@ def test_max_ttr_raises_on_miss_through_batch():
         max_ttr(a, b, [0, 1], 1000)
 
 
+def _counters(*args, **kwargs):
+    """Run ``ttr_sweep`` with telemetry on; return (profile, counters)."""
+    telemetry.enable()
+    telemetry.reset()
+    try:
+        profile = ttr_sweep(*args, **kwargs)
+        counters = telemetry.snapshot()["counters"]
+    finally:
+        telemetry.disable()
+        telemetry.reset()
+    return profile, counters
+
+
 class TestAutoDispatchShape:
-    """engine="auto" picks the engine from sweep *shape*, not just size:
-    a one-shot strided sweep against cold tables streams (table
-    materialization would dominate); warm or exhaustive sweeps batch."""
+    """Only the joint period picks the path: a cold strided sweep goes
+    to the kernel, which reads rows through the chunk hooks and never
+    builds a period table for the sweep's sake."""
 
     def _cold_pair(self):
-        # Fresh builds every call: dispatch probes table warmth, and a
-        # prior period_table() call would flip the answer.
+        # Fresh builds every call: a prior period_table() call would
+        # warm the tables this class asserts stay cold.
         instance = single_overlap(16, 3, 3, seed=2)
         a = repro.build_schedule(instance.sets[0], 16, algorithm="jump-stay")
         b = repro.build_schedule(instance.sets[1], 16, algorithm="jump-stay")
         return a, b
 
-    def _spy_stream(self, monkeypatch):
-        calls = []
-        real = batch._stream.ttr_sweep_stream
-
-        def spy(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(batch._stream, "ttr_sweep_stream", spy)
-        return calls
-
-    def test_cold_strided_sweep_streams(self, monkeypatch):
+    def test_cold_strided_sweep_streams(self):
         a, b = self._cold_pair()
-        num = max(a.period, b.period) // batch.STRIDED_DISPATCH_FACTOR
-        assert num > 0, "pair too small to express a strided sweep"
-        shifts = list(range(num))
-        calls = self._spy_stream(monkeypatch)
-        profile = batch.ttr_sweep(a, b, shifts, 4 * max(a.period, b.period))
-        assert calls, "cold strided sweep must dispatch to the stream engine"
-        assert profile == batch.ttr_sweep(
-            *self._cold_pair(), shifts, 4 * max(a.period, b.period),
-            engine="batched",
-        )
-
-    def test_warm_tables_keep_the_batched_path(self, monkeypatch):
-        a, b = self._cold_pair()
-        a.period_table(), b.period_table()  # warm both
-        assert a.has_warm_table() and b.has_warm_table()
-        num = max(a.period, b.period) // batch.STRIDED_DISPATCH_FACTOR
-        calls = self._spy_stream(monkeypatch)
-        batch.ttr_sweep(a, b, list(range(num)), 4 * max(a.period, b.period))
-        assert not calls, "warm tables make the batched setup free"
-
-    def test_exhaustive_sweep_keeps_the_batched_path(self, monkeypatch):
-        a, b = self._cold_pair()
-        shifts = list(range(max(a.period, b.period)))  # shift count ~ period
-        calls = self._spy_stream(monkeypatch)
-        batch.ttr_sweep(a, b, shifts, 4 * max(a.period, b.period))
-        assert not calls, "exhaustive sweeps read every table row: batch"
+        shifts = list(range(0, max(a.period, b.period), 64))
+        horizon = 4 * max(a.period, b.period)
+        profile, counters = _counters(a, b, shifts, horizon)
+        assert counters["sweep.kernel"] == 1
+        assert not a.has_warm_table() and not b.has_warm_table()
+        sample = shifts[::10]
+        assert {s: profile[s] for s in sample} == _scalar(a, b, sample, horizon)
 
     def test_stored_schedules_count_as_warm(self, tmp_path):
         from repro.core.store import ScheduleStore
@@ -228,139 +218,36 @@ class TestAutoDispatchShape:
 
 
 class TestChooseEngine:
-    """choose_engine pins every auto-dispatch regime as a pure decision:
-    the warmth-aware refinement only weighs the *cold* side, so a warm
-    huge table next to a cold small one stays on the batched path."""
+    """Each dispatch regime, pinned through the telemetry counters that
+    record the decision (``sweep.scalar`` / ``sweep.kernel``)."""
 
-    def _cold_pair(self):
+    def test_checkpoint_forces_stream(self, tmp_path):
+        # A checkpoint selects the kernel even at a tiny joint period.
+        a, b = CyclicSchedule([1, 2]), CyclicSchedule([2, 1])
+        sink = stream.SweepCheckpoint(tmp_path / "c.json")
+        profile, counters = _counters(a, b, [0, 1, -1], 10, checkpoint=sink)
+        assert counters["sweep.kernel"] == 1 and "sweep.scalar" not in counters
+        assert profile == _scalar(a, b, [0, 1, -1], 10)
+
+    def test_tiny_joint_period_goes_scalar(self):
+        a, b = CyclicSchedule([1, 2]), CyclicSchedule([2, 1])
+        assert math.lcm(a.period, b.period) <= SCALAR_JOINT_LIMIT
+        profile, counters = _counters(a, b, [0, 1, 5, -3], 10)
+        assert counters["sweep.scalar"] == 1 and "sweep.kernel" not in counters
+        assert profile == _scalar(a, b, [0, 1, 5, -3], 10)
+
+    def test_huge_period_goes_stream(self):
+        big = FunctionSchedule(lambda t: t % 7, period=_CACHE_LIMIT + 1)
+        small = CyclicSchedule([1, 2, 3])
+        profile, counters = _counters(big, small, [0, 4, -2], 30)
+        assert counters["sweep.kernel"] == 1
+        assert profile == _scalar(big, small, [0, 4, -2], 30)
+
+    def test_cold_strided_goes_stream(self):
         instance = single_overlap(16, 3, 3, seed=2)
         a = repro.build_schedule(instance.sets[0], 16, algorithm="jump-stay")
         b = repro.build_schedule(instance.sets[1], 16, algorithm="jump-stay")
-        return a, b
-
-    def test_checkpoint_forces_stream(self):
-        a, b = self._cold_pair()
-        assert batch.choose_engine(a, b, 10, checkpoint=True) == "stream"
-
-    def test_non_numpy_backend_forces_stream(self):
-        a, b = self._cold_pair()
-        a.period_table(), b.period_table()
-        assert batch.choose_engine(a, b, 10, backend="recording") == "stream"
-        assert batch.choose_engine(a, b, 10, backend="numpy") != "stream"
-
-    def test_tiny_joint_period_goes_scalar(self):
-        assert (
-            batch.choose_engine(CyclicSchedule([1, 2]), CyclicSchedule([2, 1]), 4)
-            == "scalar"
-        )
-
-    def test_huge_period_goes_stream(self):
-        big = FunctionSchedule(
-            lambda t: t % 7, period=batch.BATCH_TABLE_LIMIT + 1
-        )
-        assert batch.choose_engine(big, CyclicSchedule([1, 2, 3]), 10) == "stream"
-
-    def test_cold_strided_goes_stream(self):
-        a, b = self._cold_pair()
-        num = max(a.period, b.period) // batch.STRIDED_DISPATCH_FACTOR
-        assert batch.choose_engine(a, b, num) == "stream"
-
-    def test_exhaustive_goes_batched(self):
-        a, b = self._cold_pair()
-        assert batch.choose_engine(a, b, max(a.period, b.period)) == "batched"
-
-    def test_both_warm_goes_batched(self):
-        a, b = self._cold_pair()
-        a.period_table(), b.period_table()
-        num = max(a.period, b.period) // batch.STRIDED_DISPATCH_FACTOR
-        assert batch.choose_engine(a, b, num) == "batched"
-
-    def test_warm_big_cold_small_weighs_only_the_cold_side(self):
-        # The PR-5 carry-over regime: the big table is warm (its reuse
-        # is free) and the small side's build is cheap relative to the
-        # sweep, so the batched path wins — the old both-or-nothing
-        # probe streamed here and re-paid the small build's dispatch.
-        a, b = self._cold_pair()
-        big, small = (a, b) if a.period >= b.period else (b, a)
-        big.period_table()
-        num = max(
-            1, small.period // batch.STRIDED_DISPATCH_FACTOR + 1
-        )  # not strided vs the cold side
-        assert num * batch.STRIDED_DISPATCH_FACTOR > small.period
-        assert batch.choose_engine(big, small, num) == "batched"
-
-    def test_warm_big_cold_small_still_streams_when_strided_vs_cold(self):
-        a, b = self._cold_pair()
-        big, small = (a, b) if a.period >= b.period else (b, a)
-        big.period_table()
-        num = small.period // batch.STRIDED_DISPATCH_FACTOR
-        if num < 1:
-            pytest.skip("small side too small to express a strided sweep")
-        assert batch.choose_engine(big, small, num) == "stream"
-
-    def test_ttr_sweep_auto_follows_choose_engine(self, monkeypatch):
-        a, b = self._cold_pair()
-        big, small = (a, b) if a.period >= b.period else (b, a)
-        big.period_table()
-        calls = []
-        real = batch._stream.ttr_sweep_stream
-
-        def spy(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(batch._stream, "ttr_sweep_stream", spy)
-        shifts = list(range(small.period // batch.STRIDED_DISPATCH_FACTOR + 1))
-        batch.ttr_sweep(big, small, shifts, 4 * big.period)
-        assert not calls, "warm-big/cold-small unstride sweep must batch"
-
-
-class TestTtrSweepPairsDispatcher:
-    """batch.ttr_sweep_pairs: one pair-major pass, per-job parity."""
-
-    def _jobs(self):
-        instance = random_subsets(16, 4, 3, seed=9)
-        scheds = [
-            repro.build_schedule(s, instance.n, algorithm="crseq")
-            for s in instance.sets
-        ]
-        shifts = list(range(-20, 40))
-        return [
-            (scheds[i], scheds[j], shifts)
-            for i, j in instance.overlapping_pairs()
-        ]
-
-    def test_matches_per_job_ttr_sweep(self):
-        jobs = self._jobs()
-        horizon = 4 * max(max(a.period, b.period) for a, b, _ in jobs)
-        stacked = batch.ttr_sweep_pairs(jobs, horizon)
-        for (a, b, shifts), got in zip(jobs, stacked):
-            assert got == batch.ttr_sweep(a, b, shifts, horizon)
-
-    def test_per_job_horizons(self):
-        jobs = self._jobs()
-        horizons = [200 + 100 * i for i in range(len(jobs))]
-        stacked = batch.ttr_sweep_pairs(jobs, horizons)
-        for (a, b, shifts), h, got in zip(jobs, horizons, stacked):
-            assert got == batch.ttr_sweep(a, b, shifts, h)
-
-    def test_reference_engines_loop_per_job(self):
-        jobs = self._jobs()[:2]
-        horizon = 4 * max(max(a.period, b.period) for a, b, _ in jobs)
-        for engine in ("batched", "scalar"):
-            looped = batch.ttr_sweep_pairs(jobs, horizon, engine=engine)
-            assert looped == batch.ttr_sweep_pairs(jobs, horizon)
-
-    def test_horizon_count_mismatch_raises(self):
-        jobs = self._jobs()[:2]
-        with pytest.raises(ValueError, match="horizons for"):
-            batch.ttr_sweep_pairs(jobs, [100])
-
-    def test_bad_engine_and_backend_combinations_raise(self):
-        jobs = self._jobs()[:1]
-        with pytest.raises(ValueError, match="unknown engine"):
-            batch.ttr_sweep_pairs(jobs, 100, engine="warp")
-        with pytest.raises(ValueError, match="streaming engine"):
-            batch.ttr_sweep_pairs(jobs, 100, engine="batched", backend="recording")
-        with pytest.raises(ValueError, match="streaming engine"):
-            batch.ttr_sweep(*jobs[0], 100, engine="scalar", backend="recording")
+        shifts = list(range(0, a.period, 97))
+        _, counters = _counters(a, b, shifts, 4 * a.period)
+        assert counters["sweep.kernel"] == 1
+        assert counters["sweep.shifts"] == len(shifts)

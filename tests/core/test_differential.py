@@ -1,14 +1,13 @@
-"""Randomized cross-engine differential harness.
+"""Randomized differential harness: ``ttr_sweep`` vs the scalar loop.
 
-With four engines (scalar, batched, stream-serial, blocked stream),
-pair-major stacking, three fault-environment families, thread lanes,
-degenerate tile plans, and pluggable array backends, the space of
-execution configurations long outgrew hand-enumerated parity matrices.
-This harness draws random points from that space — (algorithm, workload,
-environment, engine configuration, backend, shift set, horizon) — and
-asserts the resulting TTR profile is **bit-identical** to the scalar
-reference loop (:func:`repro.core.verification.ttr_for_shift`), the one
-implementation simple enough to trust by inspection.
+Two sweep paths (the scalar loop and the blocked kernel), pinned tile
+plans, thread lanes, three fault-environment families and short
+horizons span more execution configurations than a hand-enumerated
+parity matrix covers.  This harness draws random points from that space
+— (algorithm, workload, environment, configuration, shift set, horizon)
+— and asserts the resulting TTR profile is **bit-identical** to the
+scalar reference loop (:func:`repro.core.verification.ttr_for_shift`),
+the one implementation simple enough to trust by inspection.
 
 The case generator is a plain seeded ``random.Random`` program — no
 external property-testing dependency — so every case is replayable from
@@ -21,7 +20,9 @@ its integer seed alone:
   reproducible: the failing test's parametrized id *is* the case seed.
 * ``differential_corpus.json`` is the regression corpus: seeds that
   once found bugs (or pin especially gnarly configurations) replay on
-  every run, first, forever.
+  every run, first, forever.  Each entry records the configuration and
+  algorithm its seed draws, so a change to the generator that silently
+  re-targets a seed fails ``test_corpus_is_well_formed``.
 """
 
 from __future__ import annotations
@@ -34,15 +35,9 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.core import batch
-from repro.core.backend import RecordingBackend
 from repro.core.environment import parse_environment
-from repro.core.stream import (
-    TilePlan,
-    ttr_sweep_pairs,
-    ttr_sweep_stream,
-    ttr_sweep_stream_serial,
-)
+from repro.core.schedule import CyclicSchedule
+from repro.core.stream import TilePlan, ttr_sweep
 from repro.core.verification import ttr_for_shift
 from repro.sim import workloads
 
@@ -51,7 +46,9 @@ SEED_BASE = int(os.environ.get("REPRO_DIFFERENTIAL_SEED", "0"))
 
 CORPUS_PATH = Path(__file__).with_name("differential_corpus.json")
 
-ALGORITHMS = ("paper", "crseq", "jump-stay", "drds", "zos")
+#: ``cyclic`` cycles through the sorted channel set: joint periods of a
+#: few slots, so ``auto`` draws reach the scalar loop too.
+ALGORITHMS = ("paper", "crseq", "jump-stay", "drds", "zos", "cyclic")
 
 WORKLOADS = (
     lambda rng: workloads.random_subsets(
@@ -78,14 +75,10 @@ ENVIRONMENTS = (
     ),
 )
 
-ENGINE_CONFIGS = (
-    "scalar",
-    "batched",
-    "auto",
-    "stream-serial",
-    "stream-blocked",
-    "pair-major",
-)
+#: ``auto``: ``ttr_sweep`` as callers use it (the scalar loop for tiny
+#: joint periods, the kernel otherwise); ``kernel``: the kernel under a
+#: pinned :class:`TilePlan`, thread lanes included.
+ENGINE_CONFIGS = ("auto", "kernel")
 
 
 def _draw_case(rng: random.Random) -> dict:
@@ -100,113 +93,58 @@ def _draw_case(rng: random.Random) -> dict:
         pairs = instance.overlapping_pairs()
     engine = rng.choice(ENGINE_CONFIGS)
     environment = rng.choice(ENVIRONMENTS)(rng)
-    # Backends only matter on streaming paths; the recording backend
-    # doubles every case it lands on as a no-bypass certification.
-    backend = "auto"
-    if engine in ("stream-serial", "stream-blocked", "pair-major", "auto"):
-        backend = rng.choice(("auto", "numpy", "recording"))
-    num_pairs = 1
-    if engine == "pair-major":
-        num_pairs = rng.randint(2, min(3, len(pairs))) if len(pairs) > 1 else 1
     plan = None
-    tile_bytes = None
-    if engine == "stream-blocked":
-        plan = (
-            rng.choice((1 << 14, 1 << 16)),  # tile_bytes
-            rng.choice((1, 2, 7, 64)),  # block_rows (1: fully degenerate)
-            rng.choice((1, 2, 4)),  # workers
+    if engine == "kernel":
+        plan = TilePlan(
+            tile_bytes=rng.choice((1 << 14, 1 << 16)),
+            block_rows=rng.choice((1, 2, 7, 64)),  # 1: fully degenerate
+            workers=rng.choice((1, 2, 4)),
         )
-    elif engine in ("stream-serial", "pair-major"):
-        tile_bytes = rng.choice((1 << 14, 1 << 18, 1 << 22))
     return {
         "algorithm": algorithm,
         "instance": instance,
-        "pairs": pairs[:num_pairs],
+        "pair": pairs[0],
         "engine": engine,
         "environment": environment,
-        "backend": backend,
         "plan": plan,
-        "tile_bytes": tile_bytes,
         "num_shifts": rng.randint(6, 20),
         "short_horizon": rng.random() < 0.3,
         "rng": rng,
     }
 
 
-def _schedules(case: dict) -> list[tuple]:
+def _schedules(case: dict) -> tuple:
     instance = case["instance"]
     rng = case["rng"]
-    jobs = []
-    for i, j in case["pairs"]:
-        a = repro.build_schedule(
-            instance.sets[i], instance.n, algorithm=case["algorithm"]
-        )
-        b = repro.build_schedule(
-            instance.sets[j], instance.n, algorithm=case["algorithm"]
-        )
-        lo, hi = -b.period + 1, a.period
-        shifts = [rng.randrange(lo, hi) for _ in range(case["num_shifts"])]
-        shifts += [0, lo, hi - 1, rng.randrange(lo, hi) * 7]  # dupes welcome
-        if case["short_horizon"]:
-            horizon = rng.randint(1, 60)
-        else:
-            horizon = min(4 * max(a.period, b.period), 30_000)
-        jobs.append((a, b, shifts, horizon))
-    return jobs
-
-
-def _reference(a, b, shifts, horizon, environment):
-    return {
-        s: ttr_for_shift(a, b, s, horizon, environment=environment)
-        for s in shifts
-    }
+    a, b = (
+        CyclicSchedule(sorted(instance.sets[k]))
+        if case["algorithm"] == "cyclic"
+        else repro.build_schedule(instance.sets[k], instance.n, case["algorithm"])
+        for k in case["pair"]
+    )
+    lo, hi = -b.period + 1, a.period
+    shifts = [rng.randrange(lo, hi) for _ in range(case["num_shifts"])]
+    shifts += [0, lo, hi - 1, rng.randrange(lo, hi) * 7]  # dupes welcome
+    if case["short_horizon"]:
+        horizon = rng.randint(1, 60)
+    else:
+        horizon = min(4 * max(a.period, b.period), 30_000)
+    return a, b, shifts, horizon
 
 
 def _run_case(seed: int) -> None:
     """Draw the case for ``seed``, execute it, and assert bit-parity."""
-    rng = random.Random(seed)
-    case = _draw_case(rng)
-    engine, env = case["engine"], case["environment"]
-    jobs = _schedules(case)
+    case = _draw_case(random.Random(seed))
+    env = case["environment"]
+    a, b, shifts, horizon = _schedules(case)
     label = (
-        f"seed={seed} engine={engine} algo={case['algorithm']} "
-        f"backend={case['backend']} env={'yes' if env else 'no'}"
+        f"seed={seed} engine={case['engine']} algo={case['algorithm']} "
+        f"plan={case['plan']} env={'yes' if env else 'no'}"
     )
-    backend = (
-        RecordingBackend() if case["backend"] == "recording" else case["backend"]
-    )
-    if engine == "pair-major":
-        stacked = ttr_sweep_pairs(
-            [(a, b, shifts) for a, b, shifts, _ in jobs],
-            [horizon for _, _, _, horizon in jobs],
-            tile_bytes=case["tile_bytes"],
-            environment=env,
-            backend=backend,
-        )
-        for (a, b, shifts, horizon), got in zip(jobs, stacked):
-            assert got == _reference(a, b, shifts, horizon, env), label
-        return
-    a, b, shifts, horizon = jobs[0]
-    expected = _reference(a, b, shifts, horizon, env)
-    if engine == "stream-serial":
-        got = ttr_sweep_stream_serial(
-            a, b, shifts, horizon,
-            tile_bytes=case["tile_bytes"], environment=env, backend=backend,
-        )
-    elif engine == "stream-blocked":
-        tile_bytes, block_rows, workers = case["plan"]
-        got = ttr_sweep_stream(
-            a, b, shifts, horizon,
-            plan=TilePlan(
-                tile_bytes=tile_bytes, block_rows=block_rows, workers=workers
-            ),
-            environment=env, backend=backend,
-        )
-    else:  # scalar / batched / auto, through the dispatcher
-        got = batch.ttr_sweep(
-            a, b, shifts, horizon, engine=engine, environment=env,
-            backend=backend,
-        )
+    expected = {
+        s: ttr_for_shift(a, b, s, horizon, environment=env) for s in shifts
+    }
+    got = ttr_sweep(a, b, shifts, horizon, plan=case["plan"], environment=env)
     assert got == expected, label
 
 
@@ -236,5 +174,10 @@ def test_corpus_is_well_formed():
     for entry in entries:
         assert isinstance(entry["seed"], int)
         assert entry["note"]
+        case = _draw_case(random.Random(entry["seed"]))
+        drawn = (case["engine"], case["algorithm"])
+        assert drawn == (entry["engine"], entry["algorithm"]), (
+            f"seed {entry['seed']} now draws {drawn}; its note no longer holds"
+        )
     seeds = [entry["seed"] for entry in entries]
     assert len(seeds) == len(set(seeds)), "duplicate corpus seeds"

@@ -4,10 +4,11 @@ The environment layer's whole value rests on four properties, each
 pinned here:
 
 (a) zero-intensity environments are **byte-identical** to no
-    environment on every engine — the masked code path is always
+    environment on every sweep path — the masked code path is always
     exercised, and an all-true mask must change nothing;
-(b) scalar / batched / stream / stream-serial parity holds under every
-    fault family on every workload generator the library ships;
+(b) the sweep kernel (default plan, and a pinned multi-lane plan)
+    matches the scalar reference under every fault family on every
+    workload generator the library ships;
 (c) primary-user churn confined to channels *outside* a pair's common
     set never changes any TTR — faults off the rendezvous channels are
     invisible to the guarantee;
@@ -15,9 +16,10 @@ pinned here:
     compositions and distinct otherwise.
 
 Plus the acceptance gate: ``degradation_report`` is bit-identical
-across all three engines for all three families on all eight workload
-generators, and the whole layer is process-deterministic (replayed
-under explicit ``PYTHONHASHSEED`` variation).
+across lane counts and tile budgets, and its lost shifts match the
+scalar reference, for all three families on all eight workload
+generators; the whole layer is process-deterministic (replayed under
+explicit ``PYTHONHASHSEED`` variation).
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core import batch
 from repro.core.environment import (
     AsymmetricSensing,
     ComposedEnvironment,
@@ -43,7 +44,7 @@ from repro.core.environment import (
     hash_uniform,
     parse_environment,
 )
-from repro.core.stream import ttr_sweep_stream, ttr_sweep_stream_serial
+from repro.core.stream import TilePlan, ttr_sweep
 from repro.core.verification import (
     degradation_report,
     exhaustive_shift_range,
@@ -102,17 +103,14 @@ def _scalar(a, b, shifts, horizon, environment=None):
 
 
 def _all_engines(a, b, shifts, horizon, environment):
-    """Profiles from every engine under one environment."""
+    """Profiles from the scalar reference and two kernel configurations
+    (the default plan, and a pinned narrow-block plan on two lanes)."""
     return {
         "scalar": _scalar(a, b, shifts, horizon, environment),
-        "batched": batch.ttr_sweep(
-            a, b, shifts, horizon, engine="batched", environment=environment
-        ),
-        "stream": ttr_sweep_stream(
-            a, b, shifts, horizon, environment=environment
-        ),
-        "serial": ttr_sweep_stream_serial(
-            a, b, shifts, horizon, environment=environment
+        "kernel": ttr_sweep(a, b, shifts, horizon, environment=environment),
+        "lanes": ttr_sweep(
+            a, b, shifts, horizon, environment=environment,
+            plan=TilePlan(tile_bytes=4096, block_rows=7, workers=2),
         ),
     }
 
@@ -172,8 +170,9 @@ class TestZeroIntensity:
 
 
 class TestEngineParityUnderEnvironments:
-    """Property (b): every engine agrees under every fault family, on
-    all eight workload generators."""
+    """Property (b): every kernel configuration agrees with the scalar
+    reference under every fault family, on all eight workload
+    generators."""
 
     @pytest.mark.parametrize("family", sorted(ENVIRONMENTS))
     @pytest.mark.parametrize("kind", sorted(WORKLOADS))
@@ -203,9 +202,7 @@ class TestEngineParityUnderEnvironments:
         horizon = 4 * max(a.period, b.period)
         clean = _scalar(a, b, SHIFTS, horizon)
         for env in ENVIRONMENTS.values():
-            faulted = batch.ttr_sweep(
-                a, b, SHIFTS, horizon, environment=env
-            )
+            faulted = ttr_sweep(a, b, SHIFTS, horizon, environment=env)
             for shift in SHIFTS:
                 if faulted[shift] is not None:
                     assert clean[shift] is not None
@@ -245,7 +242,7 @@ class TestChurnOutsideCommonSet:
         common = tuple(sorted(instance.sets[i] & instance.sets[j]))
         env = PrimaryUserChurn(1.0, seed=11, dwell=4, channels=common)
         horizon = 4 * max(a.period, b.period)
-        faulted = batch.ttr_sweep(a, b, SHIFTS, horizon, environment=env)
+        faulted = ttr_sweep(a, b, SHIFTS, horizon, environment=env)
         assert all(ttr is None for ttr in faulted.values())
 
 
@@ -381,14 +378,15 @@ class TestEffectiveHorizon:
             )[0]
         )
         env = AsymmetricSensing(0.5, seed=seed)
-        short = batch.ttr_sweep(a, b, [0, 3], 10_000, environment=env)
+        short = ttr_sweep(a, b, [0, 3], 10_000, environment=env)
         assert short == {0: None, 3: None}
         assert short == _scalar(a, b, [0, 3], 10_000, env)
 
 
 class TestDegradationCertification:
-    """Acceptance gate: reports bit-identical across the three engines,
-    for all three families on all eight workload generators."""
+    """Acceptance gate: reports bit-identical across lane counts and
+    tile budgets, with lost shifts matching the scalar reference, for
+    all three families on all eight workload generators."""
 
     @pytest.mark.parametrize("family", sorted(ENVIRONMENTS))
     @pytest.mark.parametrize("kind", sorted(WORKLOADS))
@@ -397,13 +395,16 @@ class TestDegradationCertification:
         env = ENVIRONMENTS[family]
         bound = 3 * max(a.period, b.period)
         reports = [
-            degradation_report(a, b, bound, env, engine=engine)
-            for engine in ("scalar", "batched", "stream")
+            degradation_report(a, b, bound, env),
+            degradation_report(a, b, bound, env, tile_bytes=4096, stream_workers=2),
         ]
-        assert reports[0] == reports[1] == reports[2], (kind, family)
+        assert reports[0] == reports[1], (kind, family)
         assert reports[0].environment_digest == env.digest()
-        assert reports[0].total_shifts == len(
-            list(exhaustive_shift_range(a, b))
+        shifts = list(exhaustive_shift_range(a, b))
+        assert reports[0].total_shifts == len(shifts)
+        faulted = _scalar(a, b, shifts, bound + 1, env)
+        assert reports[0].lost_shifts == tuple(
+            sorted(s for s, t in faulted.items() if t is None or t > bound)
         )
 
     def test_report_accounting(self):

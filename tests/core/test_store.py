@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core.batch import ttr_sweep
+from repro.core.stream import ttr_sweep
 from repro.core.store import (
     SHARD_PREFIX_LEN,
     STORE_PERIOD_LIMIT,
@@ -168,10 +168,10 @@ class TestScheduleStore:
         assert not isinstance(schedule, StoredSchedule)
         assert schedule.period == 867
 
-    def test_period_limit_is_batch_table_limit(self):
-        from repro.core.batch import BATCH_TABLE_LIMIT
+    def test_period_limit_is_schedule_cache_limit(self):
+        from repro.core.schedule import _CACHE_LIMIT
 
-        assert STORE_PERIOD_LIMIT == BATCH_TABLE_LIMIT
+        assert STORE_PERIOD_LIMIT == _CACHE_LIMIT
 
     def test_evict_and_clear(self, tmp_path):
         store = ScheduleStore(tmp_path)

@@ -1,28 +1,24 @@
-"""Parity tests: the streaming tiled engine vs batched vs scalar.
+"""Parity tests: ``ttr_sweep`` (scalar loop + blocked kernel) vs scalar.
 
-The streaming engine's contract is bit-identical profiles at any
-period size and any tile budget: for every workload the library ships,
-``ttr_sweep_stream`` must return exactly what the batched engine and a
-per-shift loop over ``ttr_for_shift`` return — including ``None``
-misses, negative shifts, duplicate shifts, degenerate horizons, and
-tiles smaller than one period.
+The contract is bit-identical profiles at any period size, tile budget
+and lane count: for every workload the library ships, ``ttr_sweep``
+must return exactly what a per-shift loop over ``ttr_for_shift``
+returns — including ``None`` misses, negative shifts, duplicate
+shifts, degenerate horizons, and tiles smaller than one period.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
 
 import repro
-from repro.core import batch
 from repro.core import stream as stream_module
-from repro.core.schedule import CyclicSchedule, FunctionSchedule
-from repro.core.stream import (
-    TilePlan,
-    plan_tiles,
-    ttr_sweep_stream,
-    ttr_sweep_stream_serial,
-)
+from repro.core import telemetry
+from repro.core.schedule import _CACHE_LIMIT, CyclicSchedule, FunctionSchedule
+from repro.core.stream import TilePlan, plan_tiles, ttr_sweep
 from repro.core.verification import (
     exhaustive_shift_range,
     ttr_for_shift,
@@ -58,8 +54,8 @@ def _scalar(a, b, shifts, horizon):
 @pytest.mark.parametrize("kind", sorted(WORKLOADS))
 @pytest.mark.parametrize("algorithm", ["paper", "crseq", "jump-stay", "zos"])
 def test_three_way_parity_across_workloads(kind, algorithm):
-    """Stream == batched == scalar on every workload generator, at
-    period sizes where all three engines can run."""
+    """Default plan == small-tile plan == scalar loop on every workload
+    generator."""
     instance = WORKLOADS[kind]()
     pairs = instance.overlapping_pairs()[:2]
     assert pairs, f"workload {kind} produced no overlapping pairs"
@@ -67,9 +63,9 @@ def test_three_way_parity_across_workloads(kind, algorithm):
         a = repro.build_schedule(instance.sets[i], instance.n, algorithm=algorithm)
         b = repro.build_schedule(instance.sets[j], instance.n, algorithm=algorithm)
         horizon = 4 * max(a.period, b.period)
-        streamed = ttr_sweep_stream(a, b, SHIFTS, horizon)
-        assert streamed == batch.ttr_sweep(a, b, SHIFTS, horizon, engine="batched")
-        assert streamed == _scalar(a, b, SHIFTS, horizon)
+        swept = ttr_sweep(a, b, SHIFTS, horizon)
+        assert swept == ttr_sweep(a, b, SHIFTS, horizon, tile_bytes=4096)
+        assert swept == _scalar(a, b, SHIFTS, horizon)
 
 
 @pytest.mark.parametrize("tile_bytes", [64, 512, 4096, 1 << 20])
@@ -81,126 +77,150 @@ def test_tile_boundaries_are_invisible(tile_bytes):
     a = repro.build_schedule(instance.sets[0], 32)
     b = repro.build_schedule(instance.sets[1], 32)
     shifts = list(range(-50, 400))
-    reference = batch.ttr_sweep(a, b, shifts, 20_000, engine="batched")
-    assert ttr_sweep_stream(a, b, shifts, 20_000, tile_bytes=tile_bytes) == reference
+    reference = _scalar(a, b, shifts, 20_000)
+    assert ttr_sweep(a, b, shifts, 20_000, tile_bytes=tile_bytes) == reference
 
 
 def test_tile_budget_validation():
     a, b = CyclicSchedule([1, 2]), CyclicSchedule([2, 3])
     with pytest.raises(ValueError, match="tile_bytes"):
-        ttr_sweep_stream(a, b, [0], 10, tile_bytes=0)
+        ttr_sweep(a, b, [0], 10, tile_bytes=0)
 
 
 def test_parity_exhaustive_range():
-    a = CyclicSchedule([1, 2, 3, 4])
-    b = CyclicSchedule([9, 9, 2, 9, 9, 1])
+    a = CyclicSchedule([1, 2, 3, 4] * 5)
+    b = CyclicSchedule([9, 9, 2, 9, 9, 1] * 3)
     shifts = list(exhaustive_shift_range(a, b))
-    assert ttr_sweep_stream(a, b, shifts, 500) == _scalar(a, b, shifts, 500)
+    assert len(shifts) == a.period + b.period - 1
+    assert ttr_sweep(a, b, shifts, 500) == _scalar(a, b, shifts, 500)
 
 
 def test_disjoint_schedules_all_miss_with_lcm_early_stop():
     """A huge horizon must cost only lcm slots of scanning and yield the
-    same ``None``s as the scalar engine."""
+    same ``None``s as the scalar loop."""
     a, b = CyclicSchedule([1, 2] * 40), CyclicSchedule([3, 4, 5] * 30)
     shifts = list(range(-12, 25))
-    assert ttr_sweep_stream(a, b, shifts, 10**9) == {s: None for s in shifts}
+    assert ttr_sweep(a, b, shifts, 10**9) == {s: None for s in shifts}
 
 
 def test_duplicate_empty_and_zero_horizon():
     a, b = CyclicSchedule([1, 2, 3] * 30), CyclicSchedule([3, 1] * 30)
-    assert ttr_sweep_stream(a, b, [], 100) == {}
-    assert ttr_sweep_stream(a, b, [0, 3], 0) == {0: None, 3: None}
-    dup = ttr_sweep_stream(a, b, [4, 4, -4, 4], 100)
+    assert ttr_sweep(a, b, [], 100) == {}
+    assert ttr_sweep(a, b, [0, 3], 0) == {0: None, 3: None}
+    dup = ttr_sweep(a, b, [4, 4, -4, 4], 100)
+    assert set(dup) == {4, -4}
     assert dup == _scalar(a, b, [4, -4], 100)
 
 
+def test_unknown_engine_rejected():
+    """``ttr_sweep`` has one kernel: no ``engine`` option is accepted."""
+    a, b = CyclicSchedule([1] * 70), CyclicSchedule([1] * 70)
+    for engine in ("auto", "batched", "stream", "scalar", "quantum"):
+        with pytest.raises(TypeError, match="engine"):
+            ttr_sweep(a, b, [0], 10, engine=engine)
+
+
 def test_huge_period_streams_without_table():
-    """Past BATCH_TABLE_LIMIT the auto dispatcher hands off to the
-    streaming engine, which generates tiles through channel_block and
-    never materializes a period table."""
-    period = batch.BATCH_TABLE_LIMIT + 3
+    """Periods past the schedule cache limit sweep through the kernel,
+    which generates tiles through channel_block and never materializes
+    a period table."""
+    period = _CACHE_LIMIT + 3
     a = FunctionSchedule(lambda t: t % 5, period, channels=frozenset(range(5)))
     b = CyclicSchedule([4, 2])
     shifts = [0, 1, 5, -3, 9999]
-    expected = _scalar(a, b, shifts, 60)
-    assert ttr_sweep_stream(a, b, shifts, 60) == expected
-    assert batch.ttr_sweep(a, b, shifts, 60) == expected  # auto → stream
-
-
-def test_forced_batched_engine_rejects_huge_periods():
-    period = batch.BATCH_TABLE_LIMIT + 3
-    a = FunctionSchedule(lambda t: t % 5, period, channels=frozenset(range(5)))
-    b = CyclicSchedule([4, 2])
-    with pytest.raises(ValueError, match="engine='batched'"):
-        batch.ttr_sweep(a, b, [0], 60, engine="batched")
-
-
-def test_unknown_engine_rejected():
-    a, b = CyclicSchedule([1]), CyclicSchedule([1])
-    with pytest.raises(ValueError, match="unknown engine"):
-        batch.ttr_sweep(a, b, [0], 10, engine="quantum")
+    assert ttr_sweep(a, b, shifts, 60) == _scalar(a, b, shifts, 60)
+    assert getattr(a, "_period_array_cache", None) is None
 
 
 def test_raw_arrays_and_memmaps_stream_off_the_table(tmp_path):
     """Raw period arrays — including read-only store memmaps — feed the
-    streaming tiles directly, bit-identical to schedule objects."""
+    kernel's tiles directly, bit-identical to schedule objects."""
     from repro.core.store import ScheduleStore
 
     store = ScheduleStore(tmp_path)
     a = store.get([1, 5, 9], 16, "drds")
     b = store.get([5, 12], 16, "drds")
     shifts = list(range(-40, 40))
-    expected = batch.ttr_sweep(a, b, shifts, 50_000, engine="batched")
-    assert ttr_sweep_stream(a, b, shifts, 50_000) == expected
+    expected = _scalar(a, b, shifts, 50_000)
+    assert ttr_sweep(a, b, shifts, 50_000) == expected
     table_a, table_b = a.period_table(), b.period_table()
     assert isinstance(table_a, np.memmap)
-    assert ttr_sweep_stream(table_a, table_b, shifts, 50_000) == expected
+    assert ttr_sweep(table_a, table_b, shifts, 50_000) == expected
 
 
 def test_sparse_offsets_use_per_row_generation():
     """Widely strided shifts (offsets scattered over the period) take
-    the per-row path; results must not depend on it."""
+    the sparse path — every row's slot indices generated and fetched in
+    one ``channel_gather`` call; results must not depend on it."""
     instance = single_overlap(32, 3, 4, seed=9)
     a = repro.build_schedule(instance.sets[0], 32, algorithm="crseq")
     b = repro.build_schedule(instance.sets[1], 32, algorithm="crseq")
     stride = max(1, a.period // 7)
     shifts = list(range(0, a.period, stride)) + [-1, -stride]
     horizon = 4 * a.period
-    assert ttr_sweep_stream(a, b, shifts, horizon, tile_bytes=256) == _scalar(
+    assert ttr_sweep(a, b, shifts, horizon, tile_bytes=256) == _scalar(
         a, b, shifts, horizon
     )
 
 
 def test_verify_guarantee_through_stream_engine():
-    """Exhaustive certification runs unchanged when forced through the
-    streaming engine."""
+    """Exhaustive certification through the kernel gives the same
+    verdict on tiny tiles."""
     a = repro.build_schedule([1, 5], 16, algorithm="zos")
     b = repro.build_schedule([5, 9], 16, algorithm="zos")
-    import math
-
     bound = math.lcm(a.period, b.period)
-    batched = verify_guarantee(a, b, bound)
-    streamed = verify_guarantee(a, b, bound, engine="stream", tile_bytes=4096)
-    assert batched == streamed
-    assert streamed[0]
+    default = verify_guarantee(a, b, bound)
+    tiny = verify_guarantee(a, b, bound, tile_bytes=4096)
+    assert default == tiny
+    assert tiny[0]
+
+
+def test_kernel_records_its_tile_plan():
+    """With telemetry on, a kernel sweep records raw shifts vs deduped
+    classes and the tile plan it ran under."""
+    a = repro.build_schedule([1, 5, 9], 16, algorithm="crseq")
+    b = repro.build_schedule([5, 12], 16, algorithm="crseq")
+    shifts = SHIFTS + SHIFTS[:10]
+    telemetry.enable()
+    telemetry.reset()
+    try:
+        profile = ttr_sweep(a, b, shifts, 4 * a.period, tile_bytes=4096)
+        snap = telemetry.snapshot()
+    finally:
+        telemetry.disable()
+        telemetry.reset()
+    assert profile == _scalar(a, b, SHIFTS, 4 * a.period)
+    counters, gauges = snap["counters"], snap["gauges"]
+    assert counters["sweep.kernel"] == 1
+    assert counters["sweep.shifts"] == len(shifts)
+    # Raw shifts collapse to their distinct offset classes.
+    assert counters["sweep.classes"] == len(
+        stream_module.reduce_shifts(a, b, shifts)[0]
+    )
+    assert gauges["sweep.lanes"] == 1
+    assert gauges["sweep.tile_bytes"] == 4096
+    assert gauges["sweep.block_rows"] >= 1
+    assert "stream.sweep" in snap["spans"]
 
 
 class TestParallelScan:
-    """The blocked worker-parallel scan vs the serial reference scan."""
+    """Thread lanes vs the one-lane kernel, and vs the scalar loop."""
 
     @pytest.mark.parametrize("workers", [1, 2, 8])
     @pytest.mark.parametrize("algorithm", ["paper", "jump-stay", "zos"])
     def test_parallel_matches_serial_reference(self, workers, algorithm):
-        """Bit-identical per cell at every worker count, on every
-        workload generator the serial reference itself is certified on."""
+        """Bit-identical per cell at every lane count, on every workload
+        generator.  The serial reference is the one-lane kernel, which
+        ``test_three_way_parity_across_workloads`` certifies against the
+        scalar loop on these same workloads."""
         for kind in sorted(WORKLOADS):
             instance = WORKLOADS[kind]()
             i, j = instance.overlapping_pairs()[0]
             a = repro.build_schedule(instance.sets[i], instance.n, algorithm=algorithm)
             b = repro.build_schedule(instance.sets[j], instance.n, algorithm=algorithm)
             horizon = 4 * max(a.period, b.period)
-            serial = ttr_sweep_stream_serial(a, b, SHIFTS, horizon)
-            assert ttr_sweep_stream(a, b, SHIFTS, horizon, workers=workers) == serial
+            serial = ttr_sweep(a, b, SHIFTS, horizon)
+            assert ttr_sweep(a, b, SHIFTS, horizon, stream_workers=workers) == serial
 
     def test_parallel_matches_scalar_loop(self):
         """The parallel scan also agrees with the independent scalar path."""
@@ -209,7 +229,7 @@ class TestParallelScan:
         b = repro.build_schedule(instance.sets[1], 32, algorithm="crseq")
         shifts = list(range(-60, 200)) + [5 * a.period + 3, -2 * b.period - 7]
         horizon = 4 * max(a.period, b.period)
-        assert ttr_sweep_stream(a, b, shifts, horizon, workers=4) == _scalar(
+        assert ttr_sweep(a, b, shifts, horizon, stream_workers=4) == _scalar(
             a, b, shifts, horizon
         )
 
@@ -222,31 +242,52 @@ class TestParallelScan:
         b = repro.build_schedule(instance.sets[1], 32, algorithm="jump-stay")
         shifts = list(range(-40, 90))
         horizon = 4 * max(a.period, b.period)
-        reference = ttr_sweep_stream_serial(a, b, shifts, horizon)
+        reference = _scalar(a, b, shifts, horizon)
         plan = TilePlan(tile_bytes=4096, block_rows=block_rows, workers=2)
-        assert ttr_sweep_stream(a, b, shifts, horizon, plan=plan) == reference
+        assert ttr_sweep(a, b, shifts, horizon, plan=plan) == reference
 
     def test_worker_counts_beyond_blocks_are_harmless(self):
         a, b = CyclicSchedule([1, 2, 3] * 30), CyclicSchedule([3, 1] * 20)
         shifts = [0, 1, -1, 5]
         expected = _scalar(a, b, shifts, 300)
-        assert ttr_sweep_stream(a, b, shifts, 300, workers=16) == expected
-
-    def test_serial_reference_rejects_bad_tile_budget(self):
-        a, b = CyclicSchedule([1, 2]), CyclicSchedule([2, 3])
-        with pytest.raises(ValueError, match="tile_bytes"):
-            ttr_sweep_stream_serial(a, b, [0], 10, tile_bytes=0)
+        assert ttr_sweep(a, b, shifts, 300, stream_workers=16) == expected
 
     def test_dispatcher_forwards_stream_workers(self):
-        """`batch.ttr_sweep(engine='stream', stream_workers=...)` is the
-        same computation at any lane count."""
+        """``ttr_sweep(stream_workers=...)`` is the same computation at
+        any lane count."""
         instance = single_overlap(16, 3, 3, seed=2)
         a = repro.build_schedule(instance.sets[0], 16, algorithm="zos")
         b = repro.build_schedule(instance.sets[1], 16, algorithm="zos")
         horizon = 4 * max(a.period, b.period)
-        one = batch.ttr_sweep(a, b, SHIFTS, horizon, engine="stream", stream_workers=1)
-        four = batch.ttr_sweep(a, b, SHIFTS, horizon, engine="stream", stream_workers=4)
-        assert one == four == ttr_sweep_stream_serial(a, b, SHIFTS, horizon)
+        one = ttr_sweep(a, b, SHIFTS, horizon, stream_workers=1)
+        four = ttr_sweep(a, b, SHIFTS, horizon, stream_workers=4)
+        assert one == four == _scalar(a, b, SHIFTS, horizon)
+
+    def test_default_never_starts_a_thread_pool(self, monkeypatch):
+        """Without a lane argument the kernel runs inline, one lane;
+        ``stream_workers=2`` fans out and stays bit-identical."""
+        instance = single_overlap(32, 3, 4, seed=9)
+        a = repro.build_schedule(instance.sets[0], 32, algorithm="jump-stay")
+        b = repro.build_schedule(instance.sets[1], 32, algorithm="jump-stay")
+        shifts = list(range(-300, 300, 3))
+        horizon = 4 * max(a.period, b.period)
+        pools = []
+        real = stream_module.ThreadPoolExecutor
+
+        def spy(*args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(stream_module, "ThreadPoolExecutor", spy)
+        one_lane = ttr_sweep(a, b, shifts, horizon, tile_bytes=4096)
+        assert pools == [], "the default sweep must not start a thread pool"
+        assert ttr_sweep(a, b, shifts, horizon) == one_lane
+        assert pools == []
+        two_lanes = ttr_sweep(a, b, shifts, horizon, tile_bytes=4096, stream_workers=2)
+        assert pools and all(lanes == 2 for lanes in pools)
+        assert two_lanes == one_lane
+        sample = shifts[::25]
+        assert {s: one_lane[s] for s in sample} == _scalar(a, b, sample, horizon)
 
 
 class TestChannelGather:
@@ -267,7 +308,7 @@ class TestChannelGather:
         assert gathered.tolist() == expected
 
     def test_generic_fallback_on_huge_periods(self):
-        period = batch.BATCH_TABLE_LIMIT + 3
+        period = _CACHE_LIMIT + 3
         sched = FunctionSchedule(lambda t: t % 5, period, channels=frozenset(range(5)))
         indices = np.array([0, 3, 11, period - 1, period + 4], dtype=np.int64)
         assert sched.channel_gather(indices).tolist() == [
@@ -304,6 +345,11 @@ class TestTilePlanner:
         four = plan_tiles(10_000, 1 << 20, workers=4, caches=caches)
         assert four.tile_bytes == (1 << 21) // 4  # half the L3, split 4 ways
         assert four.workers == 4
+
+    def test_default_plans_one_lane(self):
+        plan = plan_tiles(10_000, 1 << 20)
+        assert plan.workers == 1
+        assert plan == plan_tiles(10_000, 1 << 20, workers=1)
 
     def test_explicit_tile_bytes_pins_budget(self):
         plan = plan_tiles(100, 1000, workers=2, tile_bytes=4096)
@@ -371,33 +417,33 @@ class TestCheckpointResume:
     @pytest.mark.parametrize("algorithm", ["paper", "jump-stay", "zos"])
     def test_interrupted_then_resumed_is_bit_identical(self, tmp_path, algorithm):
         a, b, horizon = self._pair(algorithm)
-        baseline = ttr_sweep_stream(a, b, SHIFTS, horizon)
+        baseline = ttr_sweep(a, b, SHIFTS, horizon)
         path = tmp_path / "sweep.ckpt.json"
         # Tiny tiles force many block boundaries, so the injected death
         # lands mid-scan with real partial progress on disk.
         dying = _FailingSink(path, fail_after=3)
         with pytest.raises(RuntimeError, match="injected"):
-            ttr_sweep_stream(
-                a, b, SHIFTS, horizon, tile_bytes=64, workers=1, checkpoint=dying
+            ttr_sweep(
+                a, b, SHIFTS, horizon, tile_bytes=64, stream_workers=1, checkpoint=dying
             )
         assert path.exists(), "interruption must leave the last snapshot"
-        resumed = ttr_sweep_stream(
-            a, b, SHIFTS, horizon, tile_bytes=64, workers=1,
+        resumed = ttr_sweep(
+            a, b, SHIFTS, horizon, tile_bytes=64, stream_workers=1,
             checkpoint=stream_module.SweepCheckpoint(path),
         )
         assert resumed == baseline
 
     def test_interrupted_parallel_scan_resumes(self, tmp_path):
         a, b, horizon = self._pair("paper")
-        baseline = ttr_sweep_stream(a, b, SHIFTS, horizon)
+        baseline = ttr_sweep(a, b, SHIFTS, horizon)
         path = tmp_path / "sweep.ckpt.json"
         with pytest.raises(RuntimeError, match="injected"):
-            ttr_sweep_stream(
-                a, b, SHIFTS, horizon, tile_bytes=64, workers=4,
+            ttr_sweep(
+                a, b, SHIFTS, horizon, tile_bytes=64, stream_workers=4,
                 checkpoint=_FailingSink(path, fail_after=5),
             )
-        resumed = ttr_sweep_stream(
-            a, b, SHIFTS, horizon, tile_bytes=64, workers=4,
+        resumed = ttr_sweep(
+            a, b, SHIFTS, horizon, tile_bytes=64, stream_workers=4,
             checkpoint=stream_module.SweepCheckpoint(path),
         )
         assert resumed == baseline
@@ -410,8 +456,8 @@ class TestCheckpointResume:
         # by making any tile gather blow up.
         a, b, horizon = self._pair("zos")
         path = tmp_path / "sweep.ckpt.json"
-        first = ttr_sweep_stream(
-            a, b, SHIFTS, horizon, tile_bytes=64, workers=1,
+        first = ttr_sweep(
+            a, b, SHIFTS, horizon, tile_bytes=64, stream_workers=1,
             checkpoint=stream_module.SweepCheckpoint(path),
         )
 
@@ -419,8 +465,8 @@ class TestCheckpointResume:
             raise AssertionError("resumed run gathered a tile")
 
         monkeypatch.setattr(stream_module, "_gather_tile", no_gather)
-        replayed = ttr_sweep_stream(
-            a, b, SHIFTS, horizon, tile_bytes=64, workers=1,
+        replayed = ttr_sweep(
+            a, b, SHIFTS, horizon, tile_bytes=64, stream_workers=1,
             checkpoint=stream_module.SweepCheckpoint(path),
         )
         assert replayed == first
@@ -432,12 +478,12 @@ class TestCheckpointResume:
         b = repro.build_schedule([3, 4], 16, algorithm="paper")
         horizon = 2 * max(a.period, b.period)
         path = tmp_path / "sweep.ckpt.json"
-        first = ttr_sweep_stream(
-            a, b, SHIFTS, horizon, tile_bytes=64, workers=1,
+        first = ttr_sweep(
+            a, b, SHIFTS, horizon, tile_bytes=64, stream_workers=1,
             checkpoint=stream_module.SweepCheckpoint(path),
         )
         assert set(first.values()) == {None}
-        resumed = ttr_sweep_stream(
+        resumed = ttr_sweep(
             a, b, SHIFTS, horizon, checkpoint=stream_module.SweepCheckpoint(path)
         )
         assert resumed == first
@@ -445,34 +491,64 @@ class TestCheckpointResume:
     def test_snapshot_of_a_different_sweep_is_ignored(self, tmp_path):
         a, b, horizon = self._pair("paper")
         path = tmp_path / "sweep.ckpt.json"
-        ttr_sweep_stream(
-            a, b, SHIFTS, horizon // 2, tile_bytes=64, workers=1,
+        ttr_sweep(
+            a, b, SHIFTS, horizon // 2, tile_bytes=64, stream_workers=1,
             checkpoint=stream_module.SweepCheckpoint(path),
         )
         # Same sink path, different horizon: the spec digest differs, so
         # the stale snapshot must not contaminate the fresh sweep.
-        fresh = ttr_sweep_stream(
-            a, b, SHIFTS, horizon, tile_bytes=64, workers=1,
+        fresh = ttr_sweep(
+            a, b, SHIFTS, horizon, tile_bytes=64, stream_workers=1,
             checkpoint=stream_module.SweepCheckpoint(path),
         )
-        assert fresh == ttr_sweep_stream(a, b, SHIFTS, horizon)
+        assert fresh == ttr_sweep(a, b, SHIFTS, horizon)
 
     def test_checkpointed_run_matches_plain_run(self, tmp_path):
         a, b, horizon = self._pair("jump-stay")
-        profile = ttr_sweep_stream(
+        profile = ttr_sweep(
             a, b, SHIFTS, horizon,
             checkpoint=stream_module.SweepCheckpoint(tmp_path / "c.json"),
         )
-        assert profile == ttr_sweep_stream(a, b, SHIFTS, horizon)
+        assert profile == ttr_sweep(a, b, SHIFTS, horizon)
 
     def test_dispatcher_routes_checkpoint_to_stream(self, tmp_path):
-        a, b, horizon = self._pair("paper")
-        sink = stream_module.SweepCheckpoint(tmp_path / "c.json", interval_blocks=2)
-        via_dispatch = batch.ttr_sweep(a, b, SHIFTS, horizon, checkpoint=sink)
-        assert via_dispatch == ttr_sweep_stream(a, b, SHIFTS, horizon)
+        """A checkpoint selects the kernel even where the scalar loop
+        would run, so every checkpointed sweep is resumable."""
+        a = CyclicSchedule([1, 2, 3, 4])
+        b = CyclicSchedule([9, 2, 9, 1, 9, 9])
+        shifts = list(range(-12, 12))
+        sink = stream_module.SweepCheckpoint(tmp_path / "c.json")
+        assert ttr_sweep(a, b, shifts, 40, checkpoint=sink) == _scalar(a, b, shifts, 40)
         assert sink.saves > 0
-        with pytest.raises(ValueError, match="streaming"):
-            batch.ttr_sweep(a, b, SHIFTS, horizon, engine="batched", checkpoint=sink)
+
+    def test_snapshot_of_another_pair_is_ignored(self, tmp_path):
+        """Regression: pairs with equal periods and offsets must not
+        share a snapshot.  Every CRSEQ schedule at one ``n`` has the
+        same period, so a spec of periods alone resumed the second pair
+        from the first pair's profile."""
+        first = (
+            repro.build_schedule([1, 5, 9], 64, algorithm="crseq"),
+            repro.build_schedule([5, 20, 33], 64, algorithm="crseq"),
+        )
+        second = (
+            repro.build_schedule([2, 7, 40], 64, algorithm="crseq"),
+            repro.build_schedule([7, 11, 50], 64, algorithm="crseq"),
+        )
+        assert {s.period for s in first + second} == {first[0].period}
+        shifts, horizon = range(-300, 300), 4 * first[0].period
+        path = tmp_path / "sweep.ckpt.json"
+        before = ttr_sweep(
+            *first, shifts, horizon, stream_workers=1,
+            checkpoint=stream_module.SweepCheckpoint(path),
+        )
+        after = ttr_sweep(
+            *second, shifts, horizon, stream_workers=1,
+            checkpoint=stream_module.SweepCheckpoint(path),
+        )
+        assert after == ttr_sweep(*second, shifts, horizon)
+        assert after != before
+        sample = list(shifts)[::30]
+        assert {s: after[s] for s in sample} == _scalar(*second, sample, horizon)
 
     def test_sink_validation_and_clear(self, tmp_path):
         with pytest.raises(ValueError, match="interval_blocks"):
@@ -486,135 +562,3 @@ class TestCheckpointResume:
         sink.clear()  # idempotent
 
 
-class TestPairMajor:
-    """ttr_sweep_pairs: one stacked tile pass, per-pair bit-parity."""
-
-    def _grid(self, algorithm="crseq", seed=9):
-        instance = random_subsets(16, 4, 3, seed=seed)
-        scheds = [
-            repro.build_schedule(s, instance.n, algorithm=algorithm)
-            for s in instance.sets
-        ]
-        jobs = [
-            (scheds[i], scheds[j], SHIFTS)
-            for i, j in instance.overlapping_pairs()
-        ]
-        horizon = 4 * max(max(a.period, b.period) for a, b, _ in jobs)
-        return jobs, horizon
-
-    @pytest.mark.parametrize("kind", sorted(WORKLOADS))
-    def test_parity_across_workloads(self, kind):
-        instance = WORKLOADS[kind]()
-        scheds = [
-            repro.build_schedule(s, instance.n, algorithm="paper")
-            for s in instance.sets
-        ]
-        jobs = [
-            (scheds[i], scheds[j], SHIFTS)
-            for i, j in instance.overlapping_pairs()[:3]
-        ]
-        assert jobs, f"workload {kind} produced no overlapping pairs"
-        horizon = 4 * max(max(a.period, b.period) for a, b, _ in jobs)
-        stacked = stream_module.ttr_sweep_pairs(jobs, horizon)
-        for (a, b, shifts), got in zip(jobs, stacked):
-            assert got == ttr_sweep_stream(a, b, shifts, horizon)
-
-    def test_mixed_algorithms_in_one_pass(self):
-        jobs_a, _ = self._grid("crseq")
-        jobs_b, _ = self._grid("jump-stay", seed=11)
-        jobs = jobs_a + jobs_b
-        horizon = 4 * max(max(a.period, b.period) for a, b, _ in jobs)
-        stacked = stream_module.ttr_sweep_pairs(jobs, horizon)
-        for (a, b, shifts), got in zip(jobs, stacked):
-            assert got == ttr_sweep_stream(a, b, shifts, horizon)
-
-    def test_per_job_horizons_and_misses(self):
-        # Short-horizon jobs must retire as misses at *their* horizon
-        # even while longer jobs keep scanning in the same tiles.
-        jobs, horizon = self._grid("jump-stay", seed=3)
-        horizons = [40 + 30 * i for i in range(len(jobs))]
-        stacked = stream_module.ttr_sweep_pairs(jobs, horizons)
-        for (a, b, shifts), h, got in zip(jobs, horizons, stacked):
-            assert got == ttr_sweep_stream(a, b, shifts, h)
-        assert any(
-            v is None for profile in stacked for v in profile.values()
-        ), "horizon ladder too generous to exercise per-row misses"
-
-    def test_environment_masked_pass(self):
-        from repro.core.environment import parse_environment
-
-        jobs, _ = self._grid("paper")
-        env = parse_environment("pu-churn:rate=0.05,seed=7")
-        stacked = stream_module.ttr_sweep_pairs(jobs, 3000, environment=env)
-        for (a, b, shifts), got in zip(jobs, stacked):
-            assert got == ttr_sweep_stream(a, b, shifts, 3000, environment=env)
-
-    def test_degenerate_plans_and_lanes_are_invariant(self):
-        jobs, horizon = self._grid()
-        expected = stream_module.ttr_sweep_pairs(jobs, horizon)
-        for plan in (
-            TilePlan(tile_bytes=1 << 14, block_rows=1, workers=1),
-            TilePlan(tile_bytes=1 << 14, block_rows=3, workers=4),
-            TilePlan(tile_bytes=1 << 22, block_rows=1024, workers=2),
-        ):
-            assert (
-                stream_module.ttr_sweep_pairs(jobs, horizon, plan=plan)
-                == expected
-            )
-
-    def test_shared_schedules_dedupe_fixed_rows(self):
-        # The same schedule object on the fixed side of many jobs
-        # shares one row cache; parity is the observable contract.
-        instance = single_overlap(16, 3, 3, seed=2)
-        hub = repro.build_schedule(instance.sets[0], 16, algorithm="crseq")
-        others = [
-            repro.build_schedule(s, 16, algorithm="crseq")
-            for s in instance.sets[1:]
-        ]
-        jobs = [(other, hub, SHIFTS) for other in others]
-        horizon = 4 * max(hub.period, *(o.period for o in others))
-        stacked = stream_module.ttr_sweep_pairs(jobs, horizon)
-        for (a, b, shifts), got in zip(jobs, stacked):
-            assert got == ttr_sweep_stream(a, b, shifts, horizon)
-
-    def test_raw_arrays_accepted(self):
-        jobs, horizon = self._grid()
-        a, b, shifts = jobs[0]
-        raw = stream_module.ttr_sweep_pairs(
-            [(np.asarray(a.period_table()), np.asarray(b.period_table()), shifts)],
-            horizon,
-        )
-        assert raw[0] == ttr_sweep_stream(a, b, shifts, horizon)
-
-    def test_empty_and_degenerate_jobs(self):
-        jobs, horizon = self._grid()
-        a, b, shifts = jobs[0]
-        assert stream_module.ttr_sweep_pairs([], horizon) == []
-        mixed = stream_module.ttr_sweep_pairs(
-            [(a, b, []), (a, b, shifts)], horizon
-        )
-        assert mixed[0] == {}
-        assert mixed[1] == ttr_sweep_stream(a, b, shifts, horizon)
-        zero = stream_module.ttr_sweep_pairs([(a, b, shifts)], 0)
-        assert zero[0] == {s: None for s in shifts}
-
-    def test_tile_bytes_validation(self):
-        jobs, horizon = self._grid()
-        with pytest.raises(ValueError, match="tile_bytes"):
-            stream_module.ttr_sweep_pairs(jobs, horizon, tile_bytes=0)
-
-    def test_pair_sweep_telemetry_spans(self):
-        from repro.core import telemetry
-
-        jobs, horizon = self._grid()
-        telemetry.enable()
-        telemetry.reset()
-        try:
-            stream_module.ttr_sweep_pairs(jobs, horizon)
-            snap = telemetry.snapshot()
-        finally:
-            telemetry.disable()
-        assert "stream.pair_sweep" in snap["spans"]
-        assert snap["counters"]["stream.pair_jobs"] == len(jobs)
-        flat = str(snap)
-        assert "stream.tile_assembly" in flat and "stream.retire" in flat

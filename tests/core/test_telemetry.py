@@ -3,10 +3,10 @@
 The module's three contracts each get a direct gate here:
 
 * **zero overhead when disabled** — the disabled path hands out one
-  shared no-op singleton and allocates nothing on the stream engine's
+  shared no-op singleton and allocates nothing on the sweep kernel's
   hot-loop call pattern;
 * **never observable by results** — telemetry-on and telemetry-off
-  sweeps are bit-identical across all three engines;
+  sweeps are bit-identical on both sweep paths (scalar loop, kernel);
 * **deterministic structure** — a snapshot's names, nesting, ordering,
   call counts, and byte totals are identical across ``PYTHONHASHSEED``
   values (only the measured seconds vary).
@@ -27,7 +27,8 @@ import pytest
 
 import repro
 from repro.core import telemetry
-from repro.core.batch import ttr_sweep
+from repro.core.schedule import CyclicSchedule
+from repro.core.stream import ttr_sweep
 from repro.core.verification import strided_shift_range
 from repro.sim import runner
 from repro.sim.workloads import random_subsets, single_overlap
@@ -191,7 +192,7 @@ class TestPoolWorkerMerge:
 
 class TestDisabledOverhead:
     def test_disabled_hot_loop_allocates_nothing(self):
-        # The stream engine's per-tile call pattern: span + add_bytes
+        # The kernel's per-tile call pattern: span + add_bytes
         # + a counter bump. Warm up so every code path and cached
         # attribute exists, then measure allocated blocks around a
         # 10k-iteration burst: a single allocation per call would show
@@ -219,31 +220,44 @@ class TestDisabledOverhead:
         assert after - before < 10
 
 
+def _tiny_pair():
+    """A joint period of 12 slots: ``ttr_sweep`` runs the scalar loop."""
+    return CyclicSchedule([1, 2, 3, 4]), CyclicSchedule([9, 2, 9, 1, 9, 9])
+
+
+def _jump_stay_pair():
+    """Jump-Stay at n=16: ``ttr_sweep`` runs the kernel."""
+    inst = single_overlap(16, 3, 3, seed=0)
+    a = repro.build_schedule(inst.sets[0], 16, algorithm="jump-stay")
+    b = repro.build_schedule(inst.sets[1], 16, algorithm="jump-stay")
+    return a, b
+
+
 class TestResultParity:
-    @pytest.mark.parametrize("engine", ["scalar", "batched", "stream"])
+    @pytest.mark.parametrize("engine", ["scalar", "stream"])
     def test_on_off_bit_identical(self, engine):
-        inst = single_overlap(16, 3, 3, seed=0)
-        a = repro.build_schedule(inst.sets[0], 16, algorithm="jump-stay")
-        b = repro.build_schedule(inst.sets[1], 16, algorithm="jump-stay")
+        a, b = {"scalar": _tiny_pair, "stream": _jump_stay_pair}[engine]()
         shifts = list(strided_shift_range(a, b, 64))
         horizon = 4 * max(a.period, b.period)
 
         telemetry.disable()
         telemetry.reset()
-        off = ttr_sweep(a, b, shifts, horizon, engine=engine)
+        off = ttr_sweep(a, b, shifts, horizon)
 
         telemetry.enable()
         telemetry.reset()
-        on = ttr_sweep(a, b, shifts, horizon, engine=engine)
+        on = ttr_sweep(a, b, shifts, horizon)
         snap = telemetry.snapshot()
         telemetry.disable()
 
         assert on == off
-        # The enabled run actually instrumented this engine's phases.
-        prefix = {"scalar": "scalar.", "batched": "batch.", "stream": "stream."}
+        # The enabled run actually instrumented this path's phases and
+        # recorded which path it took.
         assert any(
-            name.startswith(prefix[engine]) for name in snap["spans"]
+            name.startswith(f"{engine}.") for name in snap["spans"]
         ), snap["spans"].keys()
+        path = {"scalar": "sweep.scalar", "stream": "sweep.kernel"}[engine]
+        assert snap["counters"][path] == 1
 
 
 # One self-contained script replayed under different PYTHONHASHSEED
@@ -254,7 +268,7 @@ _STRUCTURE_SCRIPT = r"""
 import json
 import repro
 from repro.core import telemetry
-from repro.core.batch import ttr_sweep
+from repro.core.stream import ttr_sweep
 from repro.core.verification import strided_shift_range
 from repro.sim.workloads import single_overlap
 
@@ -265,8 +279,7 @@ shifts = list(strided_shift_range(a, b, 64))
 
 telemetry.enable()
 telemetry.reset()
-ttr_sweep(a, b, shifts, 4 * max(a.period, b.period), engine="stream",
-          stream_workers=1)
+ttr_sweep(a, b, shifts, 4 * max(a.period, b.period))
 telemetry.count("extra.counter", 3)
 telemetry.gauge("extra.gauge", 2.0)
 snap = telemetry.snapshot()

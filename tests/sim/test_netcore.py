@@ -4,8 +4,8 @@ The central contract: ``engine="vectorized"`` must produce events
 *bit-identical* to the pairwise reference loop — same pairs, same slot,
 same channel, same TTR — across every workload family, mixed wake
 times, churn, and chunk sizes smaller than one schedule period.  The
-same pattern certifies the streaming sweep engine against
-``ttr_sweep_stream_serial``.
+same pattern certifies the sweep kernel against the scalar
+``ttr_for_shift``.
 """
 
 from __future__ import annotations

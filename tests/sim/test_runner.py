@@ -208,16 +208,21 @@ class TestSweepRunnerStore:
 
 
 class TestWorkerBudget:
-    """One worker budget, split across pairs vs within a pair."""
+    """Processes go to the pair fan-out; lanes are an explicit opt-in."""
 
     def test_big_jobs_give_processes_to_pairs(self):
         engine = runner.SweepRunner(workers=4)
         assert engine.worker_budget(runner.MIN_PARALLEL_PAIRS) == (4, 1)
 
     def test_small_jobs_give_lanes_to_the_pair(self):
+        # A serial job runs each pair on one lane unless stream_workers
+        # opts in: on the small sweeps most jobs run, starting a thread
+        # pool costs more than the lanes save.
         engine = runner.SweepRunner(workers=4)
-        assert engine.worker_budget(2) == (1, 4)
-        assert engine.worker_budget(1) == (1, 4)
+        assert engine.worker_budget(2) == (1, 1)
+        assert engine.worker_budget(1) == (1, 1)
+        opted = runner.SweepRunner(workers=4, stream_workers=4)
+        assert opted.worker_budget(1) == (1, 4)
 
     def test_single_worker_budget_stays_serial(self):
         engine = runner.SweepRunner(workers=1)
@@ -238,7 +243,7 @@ class TestWorkerBudget:
         baseline = runner.SweepRunner(workers=1).measure_pair(
             inst, "jump-stay", pair, horizon=200_000, dense=8, probes=8
         )
-        laned = runner.SweepRunner(workers=1, stream_workers=4, engine="stream")
+        laned = runner.SweepRunner(workers=1, stream_workers=4)
         assert (
             laned.measure_pair(
                 inst, "jump-stay", pair, horizon=200_000, dense=8, probes=8
@@ -247,16 +252,16 @@ class TestWorkerBudget:
         )
 
     def test_measure_instance_budgets_lanes_serially(self):
-        """A small job on a multi-worker runner hands the budget to the
-        intra-pair scan — and the results stay bit-identical."""
+        """A small job stays serial on a multi-worker runner, with or
+        without opted-in lanes — and the results stay bit-identical."""
         inst = random_subsets(16, 4, 3, seed=3)  # below MIN_PARALLEL_PAIRS
         serial = runner.SweepRunner(workers=1).measure_instance(
             inst, "paper", horizon=60_000, dense=2, probes=2
         )
-        budgeted = runner.SweepRunner(workers=4, engine="stream").measure_instance(
+        budgeted = runner.SweepRunner(workers=4).measure_instance(
             inst, "paper", horizon=60_000, dense=2, probes=2
         )
-        laned_serial = runner.SweepRunner(workers=1, engine="stream").measure_instance(
+        laned_serial = runner.SweepRunner(workers=4, stream_workers=2).measure_instance(
             inst, "paper", horizon=60_000, dense=2, probes=2
         )
         assert budgeted == laned_serial
@@ -359,7 +364,7 @@ class TestSweepRunnerCheckpoint:
         # snapshots, exactly like a kill mid-sweep.
         real_sink = stream_module.SweepCheckpoint
         interrupted = runner.SweepRunner(
-            workers=1, checkpoint_dir=ckpt, engine="stream", tile_bytes=64
+            workers=1, checkpoint_dir=ckpt, tile_bytes=64
         )
 
         class Dying(real_sink):
@@ -379,7 +384,7 @@ class TestSweepRunnerCheckpoint:
             runner_module.SweepCheckpoint = original
         assert list(ckpt.glob("*.ckpt.json")), "interruption left no snapshot"
         resumed = runner.SweepRunner(
-            workers=1, checkpoint_dir=ckpt, engine="stream", tile_bytes=64
+            workers=1, checkpoint_dir=ckpt, tile_bytes=64
         ).measure_pair(instance, "paper", pair, 100_000)
         assert resumed == plain
         assert list(ckpt.glob("*.ckpt.json")) == []
@@ -482,122 +487,3 @@ class TestSweepRunnerEnvironment:
         del record["missed"]
         legacy = runner._measured_from_record("paper", (0, 1), record)
         assert legacy.missed == 0
-
-
-class TestSweepRunnerPairMajor:
-    """Pair-major stacking: one tile pass per serial instance sweep."""
-
-    def test_stacked_matches_per_pair_loop(self):
-        inst = random_subsets(16, 8, 5, seed=4)  # 10 overlapping pairs
-        stacked = runner.SweepRunner(workers=1, pair_major=True)
-        looped = runner.SweepRunner(workers=1, pair_major=False)
-        horizon = 60_000
-        assert stacked.measure_instance(
-            inst, "paper", horizon, dense=4, probes=4
-        ) == looped.measure_instance(inst, "paper", horizon, dense=4, probes=4)
-
-    def test_auto_stacks_multi_pair_serial_jobs(self):
-        engine = runner.SweepRunner(workers=1)
-        assert engine._use_pair_major(2)
-        assert engine._use_pair_major(10)
-        assert not engine._use_pair_major(1)
-
-    def test_auto_defers_to_unavailable_configs(self, tmp_path):
-        assert not runner.SweepRunner(
-            workers=1, engine="batched"
-        )._use_pair_major(10)
-        assert not runner.SweepRunner(
-            workers=1, checkpoint_dir=tmp_path
-        )._use_pair_major(10)
-        assert not runner.SweepRunner(
-            workers=1, pair_major=False
-        )._use_pair_major(10)
-
-    def test_forced_on_requires_stream_engine(self):
-        with pytest.raises(ValueError, match="streaming engine"):
-            runner.SweepRunner(engine="batched", pair_major=True)
-
-    def test_forced_on_rejects_checkpointing(self, tmp_path):
-        with pytest.raises(ValueError, match="checkpoint"):
-            runner.SweepRunner(checkpoint_dir=tmp_path, pair_major=True)
-
-    def test_pair_major_value_validated(self):
-        with pytest.raises(ValueError, match="pair_major"):
-            runner.SweepRunner(pair_major="always")
-
-    def test_environment_misses_match_per_pair_loop(self):
-        inst = random_subsets(12, 4, 4, seed=9)
-        env = "pu-churn:rate=0.1,seed=3"
-        stacked = runner.SweepRunner(
-            workers=1, pair_major=True, environment=env
-        )
-        looped = runner.SweepRunner(
-            workers=1, pair_major=False, environment=env
-        )
-        horizon = 300  # short: some shifts miss, tallies must agree
-        assert stacked.measure_instance(
-            inst, "paper", horizon, dense=4, probes=4
-        ) == looped.measure_instance(inst, "paper", horizon, dense=4, probes=4)
-
-    def test_stacked_sweep_consults_and_fills_result_cache(self, tmp_path):
-        inst = random_subsets(16, 8, 4, seed=4)
-        horizon = 60_000
-        warm = runner.SweepRunner(workers=1, results=tmp_path, pair_major=True)
-        first = warm.measure_instance(inst, "paper", horizon, dense=4, probes=4)
-        assert warm.results.misses == len(first)
-        # A fresh runner over the same store answers every pair warm:
-        # no schedule builds, no tile pass.
-        replay = runner.SweepRunner(
-            workers=1, results=tmp_path, pair_major=True
-        )
-        assert replay.measure_instance(
-            inst, "paper", horizon, dense=4, probes=4
-        ) == first
-        assert replay.results.hits == len(first)
-        assert replay.cache_misses == 0
-
-    def test_partial_cache_stacks_only_cold_pairs(self, tmp_path):
-        inst = random_subsets(16, 8, 4, seed=4)
-        pairs = inst.overlapping_pairs()
-        horizon = 60_000
-        seeder = runner.SweepRunner(workers=1, results=tmp_path)
-        seeded = seeder.measure_pair(
-            inst, "paper", pairs[0], horizon, dense=4, probes=4
-        )
-        mixed = runner.SweepRunner(
-            workers=1, results=tmp_path, pair_major=True
-        )
-        results = mixed.measure_instance(
-            inst, "paper", horizon, dense=4, probes=4
-        )
-        assert results[0] == seeded
-        assert mixed.results.hits == 1
-        assert mixed.results.misses == len(pairs) - 1
-
-    def test_backend_spec_threads_through_stacked_sweep(self):
-        from repro.core.backend import RecordingBackend
-
-        inst = random_subsets(16, 8, 4, seed=4)
-        horizon = 60_000
-        boxed = runner.SweepRunner(
-            workers=1, pair_major=True, backend=RecordingBackend()
-        )
-        plain = runner.SweepRunner(workers=1, pair_major=True)
-        assert boxed.measure_instance(
-            inst, "paper", horizon, dense=4, probes=4
-        ) == plain.measure_instance(inst, "paper", horizon, dense=4, probes=4)
-
-    def test_backend_validated_at_construction(self):
-        with pytest.raises(ValueError, match="registered"):
-            runner.SweepRunner(backend="warp-drive")
-        with pytest.raises(ValueError, match="streaming engine"):
-            runner.SweepRunner(engine="batched", backend="recording")
-
-    def test_parallel_fanout_carries_backend_spec(self):
-        inst = random_subsets(10, 3, 8, seed=4)
-        horizon = 60_000
-        serial = runner.SweepRunner(workers=1, backend="numpy")
-        parallel = runner.SweepRunner(workers=2, backend="numpy")
-        assert parallel.measure_instance(
-            inst, "paper", horizon
-        ) == serial.measure_instance(inst, "paper", horizon)

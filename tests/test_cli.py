@@ -230,29 +230,15 @@ class TestSweepCommand:
         assert code == 1
         assert "empty shift plan" in out
 
-    def test_sweep_forced_stream_engine_matches_auto(self, capsys):
-        args = [
-            "sweep", "--agents", "1,5/5,9/1,9", "--universe", "16",
-            "--dense", "4", "--probes", "4",
-        ]
-        assert main(args) == 0
-        auto_out = capsys.readouterr().out
-        assert main(args + ["--engine", "stream", "--tile-bytes", "4096"]) == 0
-        stream_out = capsys.readouterr().out
-        assert "engine:    stream" in stream_out
-        # Identical measurements, modulo the engine/knob banner lines.
-        banners = ("engine:", "tile bytes:", "stream workers:")
-        strip = lambda text: [
-            line for line in text.splitlines() if not line.startswith(banners)
-        ]
-        assert strip(auto_out) == strip(stream_out)
-
     def test_sweep_engine_choices_validated(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["sweep", "--agents", "1,2/2,3", "--universe", "8",
-                 "--engine", "quantum"]
-            )
+        # sweep has one sweep path, so it takes no engine option at all
+        # (netsim's --engine picks between netsim engines).
+        for choice in ("auto", "batched", "stream", "quantum"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(
+                    ["sweep", "--agents", "1,2/2,3", "--universe", "8",
+                     "--engine", choice]
+                )
 
     def test_sweep_store_cap_requires_store_dir(self, capsys):
         code = main(
@@ -361,13 +347,11 @@ class TestStreamTuningFlags:
         ]
         assert main(args) == 0
         default_out = capsys.readouterr().out
-        tuned = args + [
-            "--engine", "stream", "--stream-workers", "2", "--tile-bytes", "auto",
-        ]
+        tuned = args + ["--stream-workers", "2", "--tile-bytes", "auto"]
         assert main(tuned) == 0
         tuned_out = capsys.readouterr().out
         assert "stream workers: 2 per pair" in tuned_out
-        banners = ("engine:", "tile bytes:", "stream workers:")
+        banners = ("tile bytes:", "stream workers:")
         strip = lambda text: [
             line for line in text.splitlines() if not line.startswith(banners)
         ]
@@ -508,14 +492,6 @@ class TestSweepServiceFlags:
         assert main(self.ARGS + ["--resume"]) == 2
         assert "--resume requires --checkpoint-dir" in capsys.readouterr().out
 
-    def test_checkpoint_rejects_batched_engine(self, capsys, tmp_path):
-        code = main(
-            self.ARGS
-            + ["--checkpoint-dir", str(tmp_path / "c"), "--engine", "batched"]
-        )
-        assert code == 2
-        assert "streaming engine" in capsys.readouterr().out
-
     def test_read_root_requires_store_dir(self, capsys, tmp_path):
         code = main(self.ARGS + ["--read-root", str(tmp_path / "warm")])
         assert code == 2
@@ -650,7 +626,6 @@ class TestTelemetryFlag:
     SWEEP = [
         "sweep", "--agents", "1,5,9/5,20/1,20,31", "--universe", "32",
         "--algorithm", "jump-stay", "--dense", "4", "--probes", "4",
-        "--engine", "stream", "--stream-workers", "1",
     ]
 
     def test_sweep_telemetry_json_is_last_line(self, capsys):
@@ -737,86 +712,3 @@ class TestTelemetryFlag:
         counters = tree["telemetry"]["counters"]
         assert counters["netsim.chunks"] >= 1
         assert "netsim.assemble" in tree["telemetry"]["spans"]
-
-
-class TestBackendAndPairMajorFlags:
-    ARGS = [
-        "sweep", "--agents", "1,5/5,9/1,9", "--universe", "16",
-        "--dense", "4", "--probes", "4",
-    ]
-
-    @staticmethod
-    def _strip(text):
-        banners = ("engine:", "backend:", "pair-major:", "tile bytes:")
-        return [
-            line for line in text.splitlines()
-            if not line.startswith(banners)
-        ]
-
-    def test_pair_major_on_off_and_auto_agree(self, capsys):
-        assert main(self.ARGS) == 0
-        auto_out = capsys.readouterr().out
-        assert main(self.ARGS + ["--pair-major", "on"]) == 0
-        on_out = capsys.readouterr().out
-        assert main(self.ARGS + ["--pair-major", "off"]) == 0
-        off_out = capsys.readouterr().out
-        assert "pair-major: on" in on_out
-        assert "pair-major: off" in off_out
-        assert self._strip(auto_out) == self._strip(on_out)
-        assert self._strip(auto_out) == self._strip(off_out)
-
-    def test_explicit_backend_matches_default(self, capsys):
-        assert main(self.ARGS) == 0
-        auto_out = capsys.readouterr().out
-        assert main(self.ARGS + ["--backend", "numpy"]) == 0
-        numpy_out = capsys.readouterr().out
-        assert main(self.ARGS + ["--backend", "recording",
-                                 "--engine", "stream"]) == 0
-        recording_out = capsys.readouterr().out
-        assert "backend:   numpy" in numpy_out
-        assert "backend:   recording" in recording_out
-        assert self._strip(auto_out) == self._strip(numpy_out)
-        assert self._strip(auto_out) == self._strip(recording_out)
-
-    def test_entry_point_backend_spec(self, capsys):
-        assert main(
-            self.ARGS + ["--backend", "repro.core.backend:NumpyBackend"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "backend:   repro.core.backend:NumpyBackend" in out
-
-    def test_unknown_backend_fails_before_sweeping(self, capsys):
-        code = main(self.ARGS + ["--backend", "warp-drive"])
-        out = capsys.readouterr().out
-        assert code == 2
-        assert "sweep failed:" in out
-
-    def test_non_numpy_backend_needs_stream_engine(self, capsys):
-        code = main(
-            self.ARGS + ["--backend", "recording", "--engine", "batched"]
-        )
-        out = capsys.readouterr().out
-        assert code == 2
-        assert "streaming engine" in out
-
-    def test_pair_major_on_rejects_batched_engine(self, capsys):
-        code = main(self.ARGS + ["--pair-major", "on", "--engine", "batched"])
-        out = capsys.readouterr().out
-        assert code == 2
-        assert "needs the streaming engine" in out
-
-    def test_pair_major_on_rejects_checkpointing(self, capsys, tmp_path):
-        code = main(
-            self.ARGS + ["--pair-major", "on",
-                         "--checkpoint-dir", str(tmp_path)]
-        )
-        out = capsys.readouterr().out
-        assert code == 2
-        assert "--checkpoint-dir" in out
-
-    def test_pair_major_choices_validated(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["sweep", "--agents", "1,2/2,3", "--universe", "8",
-                 "--pair-major", "sometimes"]
-            )

@@ -41,7 +41,9 @@ class TestDocsExist:
             "Phase-offset dedup",
             "lcm early-stop",
             "Memory cap",
-            "BENCH_batched_sweep.json",
+            "BENCH_kernel_sweep.json",
+            "lower bounds",
+            "446",
             "BENCH_store_sweep.json",
             "BENCH_service_cache.json",
             "BENCH_network_discovery.json",
@@ -67,11 +69,10 @@ class TestDocsExist:
             "bit-identical",
             "Extension recipe",
             "Deviations from the paper",
-            "array-backend seam",
-            "pair-major stacking",
-            "ttr_sweep_pairs",
-            "RecordingBackend",
-            "REPRO_BACKEND",
+            "One kernel, one reference",
+            "SCALAR_JOINT_LIMIT",
+            "_scan_block",
+            "differential harness",
         ):
             assert required in text, f"docs/ARCHITECTURE.md is missing {required!r}"
 
@@ -94,37 +95,34 @@ class TestDocsExist:
             "summarize_discovery",
             "Workloads",
             "Theorem 3",
-            "Array backends",
-            "ttr_sweep_pairs",
-            "choose_engine",
-            "conformance_checklist",
-            "resolve_backend",
-            "pair_major",
+            "SCALAR_JOINT_LIMIT",
+            "stream_workers",
+            "plan_tiles",
+            "has_warm_table",
         ):
             assert required in text, f"docs/API.md is missing {required!r}"
 
     def test_tuning_doc_present(self):
         text = (REPO_ROOT / "docs" / "TUNING.md").read_text()
         for required in (
-            "Engine selection",
+            "Sweep dispatch",
             "auto-tuned tile plan",
             "Intra-pair parallelism",
             "Worker budgeting",
             "stream-workers",
             "tile-bytes",
             "sweep shape",
-            "STRIDED_DISPATCH_FACTOR",
+            "SCALAR_JOINT_LIMIT",
             "results-dir",
             "checkpoint-dir",
             "crossover",
             "bit-identical",
             "Worked invocations",
             "BENCHMARKS.md",
-            "Pair-major stacking",
-            "pair-major",
-            "BENCH_pair_major.json",
-            "--backend",
-            "REPRO_BACKEND",
+            "Lanes are an opt-in",
+            "1 lane → 2 lanes",
+            "BENCH_stream_sweep.json",
+            "no warm-table branch",
         ):
             assert required in text, f"docs/TUNING.md is missing {required!r}"
 
@@ -145,8 +143,9 @@ class TestDocsExist:
             "Netsim spans are flat",
             "test_telemetry_overhead",
             "TUNING.md",
-            "stream.pair_sweep",
-            "stream.pair_jobs",
+            "sweep.kernel",
+            "sweep.classes",
+            "sweep.lanes",
         ):
             assert required in text, f"docs/OBSERVABILITY.md is missing {required!r}"
 

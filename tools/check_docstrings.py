@@ -28,7 +28,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: the gate intact if either module ever moves out of its package.
 DEFAULT_TARGETS = (
     "src/repro/core",
-    "src/repro/core/backend.py",
     "src/repro/core/environment.py",
     "src/repro/core/results.py",
     "src/repro/core/telemetry.py",
