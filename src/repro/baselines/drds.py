@@ -95,6 +95,21 @@ def difference_coverage(elements: np.ndarray, m: int) -> np.ndarray:
     return correlation > 0.5
 
 
+def _first_free_pair(
+    owner: np.ndarray, free: np.ndarray, head: int, d: int, m: int
+) -> int | None:
+    """Lowest ``x`` in ``free[head:]`` with ``x`` and ``x + d`` unowned."""
+    chunk = 64
+    while head < free.size:
+        candidates = free[head : head + chunk]
+        usable = (owner[candidates] < 0) & (owner[(candidates + d) % m] < 0)
+        if usable.any():
+            return int(candidates[usable.argmax()])
+        head += candidates.size
+        chunk *= 2
+    return None
+
+
 def _greedy_patch(
     owner: np.ndarray,
     channel: int,
@@ -110,30 +125,42 @@ def _greedy_patch(
     drastically shrink the number of pairs needed (measured: ~3.5
     pairs per channel per unit of ``n``, against ~2.5x that much free
     space).  Deterministic: always the lowest-index free pair.
+
+    The patch only ever claims slots, so the free list is computed once
+    per channel; each search starts at a head pointer past the claimed
+    prefix and scans forward in doubling chunks until the first ``x``
+    with both ``x`` and ``x + d`` still free.  Elements grow in place in
+    a buffer sized for two per uncovered difference.
     """
-    elements = list(elements)
-    for d in np.flatnonzero(~covered):
-        d = int(d)
+    holes = np.flatnonzero(~covered)
+    elements = np.asarray(elements, dtype=np.int64)
+    size = elements.size
+    grown = np.empty(size + 2 * holes.size, dtype=np.int64)
+    grown[:size] = elements
+    free = np.flatnonzero(owner < 0)
+    head = 0
+    for d in holes.tolist():
         if covered[d]:
             continue
-        free = np.flatnonzero(owner < 0)
-        usable = free[owner[(free + d) % m] < 0]
-        if usable.size == 0:
+        while head < free.size and owner[free[head]] >= 0:
+            head += 1
+        x = _first_free_pair(owner, free, head, d, m)
+        if x is None:
             raise AssertionError(
                 f"DRDS patch failed for channel {channel}: no free pair "
                 f"for difference {d}"
             )
-        x = int(usable[0])
         y = (x + d) % m
         owner[x] = channel
         owner[y] = channel
-        existing = np.asarray(elements, dtype=np.int64)
+        existing = grown[:size]
         for new in (x, y):
             covered[(new - existing) % m] = True
             covered[(existing - new) % m] = True
         covered[[0, d, (m - d) % m]] = True
-        elements.extend((x, y))
-    return np.asarray(elements, dtype=np.int64)
+        grown[size : size + 2] = (x, y)
+        size += 2
+    return grown[:size]
 
 
 @functools.lru_cache(maxsize=32)

@@ -67,7 +67,7 @@ import math
 import os
 import tempfile
 import threading
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -457,7 +457,10 @@ def ttr_sweep(
     :func:`repro.core.verification.ttr_for_shift` per shift: the result
     maps each shift to the first slot (counted from the later wake-up)
     where the schedules coincide, or ``None`` when no coincidence occurs
-    within ``horizon`` slots.
+    within ``horizon`` slots.  A ``range`` of shifts stays lazy — it is
+    never expanded to a list of Python ints — so an exhaustive sweep
+    over :func:`~repro.core.verification.exhaustive_shift_range` pays
+    only for its int64 offset ranks and the result dict.
 
     Joint periods up to :data:`SCALAR_JOINT_LIMIT` run the scalar loop;
     everything else — and every sweep with a ``checkpoint`` or a pinned
@@ -493,25 +496,29 @@ def ttr_sweep(
         raise ValueError(f"tile_bytes must be positive, got {tile_bytes}")
     a = _coerce_schedule(a)
     b = _coerce_schedule(b)
-    shift_list = [int(s) for s in shifts]
-    if not shift_list:
+    # A range stays lazy: it is zipped straight into the result and
+    # reduced through ``np.arange``, never expanded to Python ints.
+    if not isinstance(shifts, range):
+        shifts = [int(s) for s in shifts]
+    if not shifts:
         return {}
     if horizon <= 0:
-        return {s: None for s in shift_list}
+        return {s: None for s in shifts}
     joint = math.lcm(a.period, b.period)
     effective = effective_horizon(horizon, joint, environment)
-    telemetry.count("sweep.shifts", len(shift_list))
+    telemetry.count("sweep.shifts", len(shifts))
     if joint <= SCALAR_JOINT_LIMIT and checkpoint is None and plan is None:
         # The joint pattern repeats every lcm slots, so capping the
         # scalar scan there preserves every answer (including misses) —
         # unless an aperiodic environment voids the argument, in which
         # case ``effective`` is the full horizon.
         telemetry.count("sweep.scalar")
-        return _scalar_sweep(a, b, shift_list, effective, environment)
+        return _scalar_sweep(a, b, shifts, effective, environment)
 
     telemetry.count("sweep.kernel")
     with telemetry.span("stream.sweep"):
-        unique_pairs, inverse = reduce_shifts(a, b, shift_list)
+        with telemetry.span("stream.reduce"):
+            unique_pairs, inverse = reduce_shifts(a, b, shifts)
         telemetry.count("sweep.classes", len(unique_pairs))
         # Each shift pins one side's offset to zero, so the sign groups
         # are profiled separately with the zero side as the broadcast row.
@@ -542,13 +549,14 @@ def ttr_sweep(
                 var, fixed, unique_pairs[group, column], effective, group_plan,
                 recorder=recorder, gid=gid, environment=environment,
             )
-        return scatter_ttrs(shift_list, ttrs, inverse)
+        with telemetry.span("stream.scatter"):
+            return scatter_ttrs(shifts, ttrs, inverse)
 
 
 def _scalar_sweep(
     a: Schedule,
     b: Schedule,
-    shifts: list[int],
+    shifts: Sequence[int],
     horizon: int,
     environment: Environment | None = None,
 ) -> dict[int, int | None]:
@@ -563,26 +571,41 @@ def _scalar_sweep(
 
 
 def reduce_shifts(
-    a: Schedule, b: Schedule, shift_list: list[int]
+    a: Schedule, b: Schedule, shifts: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Collapse shifts to their distinct phase-offset pairs.
 
     A shift only enters the coincidence comparison through the offset
     pair ``(s mod period_A, 0)`` (``s >= 0``) or ``(0, -s mod
     period_B)`` (``s < 0``), so the distinct pairs are the real work
-    items.  Returns ``(unique_pairs, inverse)`` with ``inverse``
-    mapping each input shift to its row in ``unique_pairs``.
+    items.  Returns ``(unique_pairs, inverse)`` with ``unique_pairs``
+    in lexicographic order and ``inverse`` mapping each input shift to
+    its row in ``unique_pairs``.
+
+    One offset of every pair is zero, so a pair's lexicographic rank
+    fits one int64 — ``off_b`` when ``off_a == 0``, else
+    ``period_B - 1 + off_a`` — and the dedup is one 1-D sort of ranks
+    rather than a sort of structured rows.  ``shifts`` may be a list,
+    an int array or a ``range`` (expanded by ``np.arange``, never
+    through Python ints).
     """
-    arr = np.asarray(shift_list, dtype=np.int64)
+    if isinstance(shifts, range):
+        arr = np.arange(shifts.start, shifts.stop, shifts.step, dtype=np.int64)
+    else:
+        arr = np.asarray(shifts, dtype=np.int64)
     off_a = np.where(arr >= 0, arr, 0) % a.period
     off_b = np.where(arr < 0, -arr, 0) % b.period
-    pairs = np.stack([off_a, off_b], axis=1)
-    unique_pairs, inverse = np.unique(pairs, axis=0, return_inverse=True)
-    return unique_pairs, inverse.reshape(-1)  # numpy 2.0.x: (n, 1)-shaped
+    rank = np.where(off_a > 0, off_a + (b.period - 1), off_b)
+    ranks, inverse = np.unique(rank, return_inverse=True)
+    unique_pairs = np.zeros((ranks.size, 2), dtype=np.int64)
+    upper = ranks >= b.period
+    unique_pairs[upper, 0] = ranks[upper] - (b.period - 1)
+    unique_pairs[~upper, 1] = ranks[~upper]
+    return unique_pairs, inverse
 
 
 def scatter_ttrs(
-    shift_list: list[int], ttrs: np.ndarray, inverse: np.ndarray
+    shifts: Sequence[int], ttrs: np.ndarray, inverse: np.ndarray
 ) -> dict[int, int | None]:
     """Scatter per-offset-pair TTRs back to the caller's shifts.
 
@@ -591,10 +614,10 @@ def scatter_ttrs(
     every input shift to its ``int`` TTR or ``None``.
     """
     scattered = ttrs[inverse]
-    return {
-        s: None if t < 0 else int(t)
-        for s, t in zip(shift_list, scattered.tolist())
-    }
+    values = scattered.tolist()
+    for i in np.flatnonzero(scattered < 0).tolist():
+        values[i] = None
+    return dict(zip(shifts, values))
 
 
 def _coerce_schedule(x: Schedule | np.ndarray) -> Schedule:

@@ -370,20 +370,42 @@ def _format_bytes(nbytes: int) -> str:
     return f"{nbytes} B"
 
 
+def _format_row(
+    depth: int, name: str, calls: str, seconds: float, parent_seconds: float
+) -> str:
+    """One text-tree row: name, calls column, seconds, share of parent."""
+    share = ""
+    if parent_seconds > 0:
+        share = f"  {100.0 * seconds / parent_seconds:5.1f}%"
+    return (
+        f"{'  ' * depth}{name:<{max(1, 36 - 2 * depth)}} "
+        f"{calls:>13} {seconds:>10.4f} s{share}"
+    )
+
+
 def _format_node(
     lines: list[str], name: str, node: dict, depth: int, parent_seconds: float
 ) -> None:
-    """Append one span row (and its children) to the text tree."""
-    share = ""
-    if parent_seconds > 0:
-        share = f"  {100.0 * node['seconds'] / parent_seconds:5.1f}%"
+    """Append one span row (and its children) to the text tree.
+
+    A node with children gets a ``(self)`` row first: its seconds minus
+    its children's, so self plus children always equals the node.
+    """
+    calls = f"{node['calls']:>7} call{'s' if node['calls'] != 1 else ' '}"
     throughput = f"  {_format_bytes(node['bytes'])}" if node["bytes"] else ""
     lines.append(
-        f"{'  ' * depth}{name:<{max(1, 36 - 2 * depth)}} "
-        f"{node['calls']:>7} call{'s' if node['calls'] != 1 else ' '} "
-        f"{node['seconds']:>10.4f} s{share}{throughput}"
+        _format_row(depth, name, calls, node["seconds"], parent_seconds)
+        + throughput
     )
-    for child_name, child in node["children"].items():
+    children = node["children"]
+    if children:
+        # Snapshot seconds are rounded to microseconds, so a self time
+        # within rounding of zero can come out a hair negative.
+        own = node["seconds"] - sum(child["seconds"] for child in children.values())
+        lines.append(
+            _format_row(depth + 1, "(self)", "", max(own, 0.0), node["seconds"])
+        )
+    for child_name, child in children.items():
         _format_node(lines, child_name, child, depth + 1, node["seconds"])
 
 
@@ -392,8 +414,11 @@ def format_tree(snap: dict, wall_seconds: float | None = None) -> str:
 
     Each row shows calls, seconds, the share of its parent's time
     (root rows: share of ``wall_seconds`` when given), and byte
-    throughput where recorded; counters and gauges follow the tree.
-    This is the ``--telemetry text`` output of the CLIs.
+    throughput where recorded; every node with children leads them
+    with a ``(self)`` row, so no share of a parent goes unattributed.
+    Counters and gauges follow the tree.  This is the ``--telemetry
+    text`` output of the CLIs; the snapshot itself carries no self
+    rows.
     """
     lines: list[str] = []
     total = total_seconds(snap)

@@ -8,11 +8,13 @@ the schedule level for *all* shifts on a small instance.
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import numpy as np
 import pytest
 
+from repro.baselines import drds
 from repro.baselines.drds import (
     DRDSSchedule,
     _component_indices,
@@ -139,3 +141,63 @@ class TestBuildValidation:
         a = build_global_sequence(6)
         b = build_global_sequence(6)
         assert a is b
+
+
+def _reference_greedy_patch(owner, channel, elements, covered, m):
+    """The full-rescan patch search the incremental one replaced: every
+    uncovered difference rescans all free slots for the lowest free
+    pair."""
+    elements = list(elements)
+    for d in np.flatnonzero(~covered):
+        d = int(d)
+        if covered[d]:
+            continue
+        free = np.flatnonzero(owner < 0)
+        usable = free[owner[(free + d) % m] < 0]
+        if usable.size == 0:
+            raise AssertionError(
+                f"DRDS patch failed for channel {channel}: no free pair "
+                f"for difference {d}"
+            )
+        x = int(usable[0])
+        y = (x + d) % m
+        owner[x] = channel
+        owner[y] = channel
+        existing = np.asarray(elements, dtype=np.int64)
+        for new in (x, y):
+            covered[(new - existing) % m] = True
+            covered[(existing - new) % m] = True
+        covered[[0, d, (m - d) % m]] = True
+        elements.extend((x, y))
+    return np.asarray(elements, dtype=np.int64)
+
+
+# sha256 of the int64 sequence bytes, as built by the reference search.
+_PINNED_DIGESTS = {
+    16: "690ae4004e727e5039f823246ca1ea0d605688199903e1094743d710b10b1237",
+    32: "18c7b827484a49adfa971a34378f471517f24e685cb750be2c87869d0023da6b",
+}
+
+
+def _sha256(sequence: np.ndarray) -> str:
+    return hashlib.sha256(
+        np.ascontiguousarray(sequence, dtype=np.int64).tobytes()
+    ).hexdigest()
+
+
+class TestPatchSearch:
+    """The incremental patch search builds the reference's sequence."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 16, 24])
+    def test_matches_full_rescan_reference(self, n, monkeypatch):
+        build_global_sequence.cache_clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(drds, "_greedy_patch", _reference_greedy_patch)
+            reference = build_global_sequence(n)
+        build_global_sequence.cache_clear()
+        np.testing.assert_array_equal(build_global_sequence(n), reference)
+
+    @pytest.mark.parametrize("n", sorted(_PINNED_DIGESTS))
+    def test_sequence_digest_pinned(self, n):
+        build_global_sequence.cache_clear()
+        assert _sha256(build_global_sequence(n)) == _PINNED_DIGESTS[n]

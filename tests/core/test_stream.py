@@ -201,6 +201,93 @@ def test_kernel_records_its_tile_plan():
     assert gauges["sweep.tile_bytes"] == 4096
     assert gauges["sweep.block_rows"] >= 1
     assert "stream.sweep" in snap["spans"]
+    sweep_children = snap["spans"]["stream.sweep"]["children"]
+    assert sweep_children["stream.reduce"]["calls"] == 1
+    assert sweep_children["stream.scatter"]["calls"] == 1
+
+
+def _reference_reduce(a, b, shift_list):
+    """The structured-row dedup the rank sort replaced."""
+    arr = np.asarray(shift_list, dtype=np.int64)
+    off_a = np.where(arr >= 0, arr, 0) % a.period
+    off_b = np.where(arr < 0, -arr, 0) % b.period
+    pairs = np.stack([off_a, off_b], axis=1)
+    unique_pairs, inverse = np.unique(pairs, axis=0, return_inverse=True)
+    return unique_pairs, inverse.reshape(-1)
+
+
+def _reference_scatter(shift_list, ttrs, inverse):
+    """The per-shift dict comprehension the bulk scatter replaced."""
+    scattered = ttrs[inverse]
+    return {
+        s: None if t < 0 else int(t)
+        for s, t in zip(shift_list, scattered.tolist())
+    }
+
+
+def _shift_inputs(rng, period_a, period_b):
+    """Every shape of shift input the sweep accepts, seeded."""
+    reach = 3 * max(period_a, period_b)
+    drawn = rng.integers(-reach, reach + 1, size=int(rng.integers(1, 80)))
+    with_duplicates = drawn.tolist() + drawn[: drawn.size // 2].tolist()
+    step = int(rng.integers(2, 9))
+    lo = int(rng.integers(-reach, 1))
+    return [
+        with_duplicates,
+        [period_a, -period_b, 2 * period_a + 1, -3 * period_b - 1, 0, 0],
+        drawn,
+        drawn.astype(np.int32),
+        range(-period_b + 1, period_a),
+        range(lo, reach, step),
+        range(reach, lo, -step),
+        range(5, 5),
+    ]
+
+
+class TestShiftBookkeeping:
+    """Rank-sort reduce and bulk scatter vs the references they replaced."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_reduce_and_scatter_match_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        period_a, period_b = (int(p) for p in rng.integers(1, 90, size=2))
+        if seed % 3 == 0:
+            period_b = period_a
+        a = CyclicSchedule(list(range(period_a)))
+        b = CyclicSchedule(list(range(period_b)))
+        for shifts in _shift_inputs(rng, period_a, period_b):
+            shift_list = [int(s) for s in shifts]
+            pairs, inverse = stream_module.reduce_shifts(a, b, shifts)
+            ref_pairs, ref_inverse = _reference_reduce(a, b, shift_list)
+            np.testing.assert_array_equal(pairs, ref_pairs)
+            np.testing.assert_array_equal(inverse, ref_inverse)
+            assert pairs.dtype == ref_pairs.dtype
+            assert inverse.dtype == ref_inverse.dtype
+            ttrs = rng.integers(-1, 40, size=len(pairs))
+            assert stream_module.scatter_ttrs(
+                shifts, ttrs, inverse
+            ) == _reference_scatter(shift_list, ttrs, ref_inverse)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_range_sweeps_like_its_list(self, seed):
+        """A lazy range and its expanded list give the same profile, on
+        the kernel path and on the scalar path."""
+        rng = np.random.default_rng(100 + seed)
+        # Period A past SCALAR_JOINT_LIMIT forces the kernel path.
+        a = CyclicSchedule(rng.integers(0, 4, size=int(rng.integers(65, 100))))
+        b = CyclicSchedule(rng.integers(0, 4, size=int(rng.integers(20, 60))))
+        tiny_a, tiny_b = CyclicSchedule([1, 2, 3]), CyclicSchedule([3, 1])
+        for x, y in ((a, b), (tiny_a, tiny_b)):
+            horizon = 2 * math.lcm(x.period, y.period)
+            for r in (
+                exhaustive_shift_range(x, y),
+                range(-3 * y.period, 3 * x.period, 7),
+                range(x.period, -y.period, -2),
+                range(0),
+            ):
+                profile = ttr_sweep(x, y, r, horizon)
+                assert profile == ttr_sweep(x, y, list(r), horizon)
+                assert list(profile) == list(dict.fromkeys(r))
 
 
 class TestParallelScan:

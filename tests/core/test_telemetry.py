@@ -20,6 +20,7 @@ from __future__ import annotations
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -149,6 +150,72 @@ class TestRegistryBasics:
         assert "%" in text
         assert "events" in text and "7" in text
         assert "lanes" in text
+
+    def test_self_rows_on_a_synthetic_tree(self):
+        def node(seconds, children=None):
+            return {
+                "calls": 1, "seconds": seconds, "bytes": 0,
+                "children": children or {},
+            }
+
+        inner = node(0.5, {"c": node(0.125)})
+        snap = {
+            "spans": {"root": node(1.0, {"a": node(0.25), "b": inner})},
+            "total_seconds": 1.0,
+        }
+        assert _parse_tree(telemetry.format_tree(snap)) == [
+            (1, "root", 1.0),
+            (2, "(self)", 0.25),
+            (2, "a", 0.25),
+            (2, "b", 0.5),
+            (3, "(self)", 0.375),
+            (3, "c", 0.125),
+        ]
+
+    def test_self_plus_children_equals_parent(self):
+        """Every node with children gets a ``(self)`` row, and that row
+        plus the children sums to the node, to display precision.  The
+        snapshot itself stays free of self rows."""
+        a = repro.build_schedule([1, 5, 9], 16, algorithm="crseq")
+        b = repro.build_schedule([5, 12], 16, algorithm="crseq")
+        telemetry.enable()
+        with telemetry.span("outer"):
+            ttr_sweep(
+                a, b, range(-a.period, a.period), 4 * a.period, tile_bytes=4096
+            )
+        snap = telemetry.snapshot()
+        assert "(self)" not in json.dumps(snap)
+        rows = _parse_tree(telemetry.format_tree(snap))
+        checked = 0
+        for index, (depth, name, seconds) in enumerate(rows):
+            children = []
+            for child_depth, child_name, child_seconds in rows[index + 1 :]:
+                if child_depth <= depth:
+                    break
+                if child_depth == depth + 1:
+                    children.append((child_name, child_seconds))
+            if not children:
+                continue
+            assert children[0][0] == "(self)", (name, children)
+            assert [c for c, _ in children].count("(self)") == 1
+            # Each printed value is rounded to 4 decimals.
+            slack = 0.5e-4 * (len(children) + 1) + 1e-9
+            assert abs(sum(s for _, s in children) - seconds) <= slack, name
+            checked += 1
+        # outer, stream.sweep: both have children.
+        assert checked >= 2
+
+
+def _parse_tree(text: str) -> list[tuple[int, str, float]]:
+    """``(depth, name, seconds)`` per span row of a ``format_tree`` text."""
+    rows = []
+    for line in text.splitlines()[1:]:
+        if line in ("counters:", "gauges:"):
+            break
+        match = re.match(r"^( *)(\S+) .*?(\d+\.\d{4}) s", line)
+        assert match, line
+        rows.append((len(match.group(1)) // 2, match.group(2), float(match.group(3))))
+    return rows
 
 
 class TestPoolWorkerMerge:

@@ -12,7 +12,11 @@ import pytest
 import repro
 from repro.baselines import BASELINE_NAMES
 from repro.core import bounds
-from repro.core.verification import ttr_for_shift, verify_guarantee
+from repro.core.verification import (
+    exhaustive_shift_range,
+    ttr_for_shift,
+    verify_guarantee,
+)
 from repro.sim import (
     Agent,
     ChirpAndListen,
@@ -21,6 +25,7 @@ from repro.sim import (
     measure_instance,
     nested,
     random_subsets,
+    single_overlap,
     summarize_ttrs,
     whitespace,
 )
@@ -172,3 +177,23 @@ class TestDeterminismAcrossProcessBoundary:
         first = [ttr_for_shift(a, b, s, 10_000) for s in range(0, 40)]
         second = [ttr_for_shift(a, b, s, 10_000) for s in range(0, 40)]
         assert first == second
+
+
+class TestTable1ExhaustiveWorstCases:
+    """Worst TTRs over *every* shift class of ``single_overlap(n, 3, 3,
+    seed=0)``: a strided sampler finds lower maxima, so it can never
+    silently stand in for these."""
+
+    @pytest.mark.parametrize(
+        "algorithm, n, worst",
+        [("paper", 64, 798), ("crseq", 64, 665), ("zos", 256, 153), ("drds", 32, 3240)],
+    )
+    def test_pinned_exhaustive_worst(self, algorithm, n, worst):
+        instance = single_overlap(n, 3, 3, seed=0)
+        a = repro.build_schedule(instance.sets[0], n, algorithm)
+        b = repro.build_schedule(instance.sets[1], n, algorithm)
+        shifts = exhaustive_shift_range(a, b)
+        profile = repro.ttr_sweep(a, b, shifts, 4 * max(a.period, b.period))
+        assert len(profile) == a.period + b.period - 1
+        assert None not in profile.values()
+        assert max(profile.values()) == worst
