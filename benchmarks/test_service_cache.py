@@ -8,10 +8,10 @@ genuine compute — is answered twice through ``SweepRunner`` instances sharing
 one result-cache directory:
 
 * **cold** — empty cache: the full shift sweep runs and the
-  ``MeasuredPair`` is written through to a shard
+  ``MeasuredPair`` is written through as one record file
   (``misses == 1``, ``writes == 1``);
 * **warm** — a fresh runner (fresh process state, nothing memoized in
-  Python) attached to the same directory: the answer is a shard read,
+  Python) attached to the same directory: the answer is one record read,
   no schedule is built and no shift is scanned (``hits == 1``).
 
 This is the gap ``python -m repro serve`` trades on. Results are

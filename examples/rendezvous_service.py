@@ -7,7 +7,7 @@ service layer exploits that twice over:
 1. query: a cold worst-TTR pair query runs the full shift sweep and
    writes the ``MeasuredPair`` through to a persistent result cache;
 2. re-query: a *fresh* runner (think: the next process, tomorrow's
-   run) answers the same query from a cache shard in microseconds —
+   run) answers the same query from one cache record in microseconds —
    bit-identical, no schedule built, no shift scanned;
 3. interrupt: a long checkpointed sweep dies mid-scan — the snapshot
    written at the last tile-block boundary survives on disk;
@@ -83,7 +83,7 @@ def main() -> None:
         print(f"cold query: worst TTR {cold.worst_ttr} in {cold_seconds:.3f}s")
         print(cache_line(server))
 
-        # --- 2. re-query from a fresh runner: one shard read ----------
+        # --- 2. re-query from a fresh runner: one record read ---------
         fresh = SweepRunner(workers=1, results=results_dir)
         start = time.perf_counter()
         warm = fresh.measure_pair(instance, ALGORITHM, (0, 1), HORIZON, **SWEEP)

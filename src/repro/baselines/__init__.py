@@ -39,7 +39,6 @@ from repro.baselines.jump_stay import JumpStaySchedule
 from repro.baselines.random_schedule import RandomSchedule
 from repro.baselines.zos import ZOSSchedule
 from repro.core.schedule import Schedule
-from repro.core.store import ScheduleStore
 
 __all__ = [
     "AsyncETCHSchedule",
@@ -70,20 +69,9 @@ DETERMINISTIC_BASELINES = tuple(n for n in BASELINE_NAMES if n != "random")
 
 
 def build_baseline(
-    channels: Iterable[int],
-    n: int,
-    algorithm: str,
-    seed: int = 0,
-    store: ScheduleStore | None = None,
+    channels: Iterable[int], n: int, algorithm: str, seed: int = 0
 ) -> Schedule:
-    """Instantiate a baseline schedule by name (see :data:`BASELINE_NAMES`).
-
-    With ``store=`` the period table comes from (or is materialized
-    into) the given :class:`~repro.core.store.ScheduleStore` instead of
-    being rebuilt in-process.
-    """
-    if store is not None:
-        return store.get(channels, n, algorithm, seed=seed)
+    """Instantiate a baseline schedule by name (see :data:`BASELINE_NAMES`)."""
     builder = _BUILDERS.get(algorithm)
     if builder is None:
         raise ValueError(

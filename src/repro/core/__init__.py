@@ -35,11 +35,15 @@ stream
     with tiles generated on demand (any period size), optional
     intra-pair thread lanes, an L2/L3-aware tile planner
     (``plan_tiles``) and resumable checkpoints.
+blobs
+    The storage layer under both persistent stores: one file set per
+    digest, atomic writes with a marker file written last, one
+    on-disk byte cap with LRU eviction, and lookup-only read roots.
 store
     Shared-memory schedule store: period tables materialized once as
-    read-only memmaps and attached by every sweep process (sharded
-    digest-prefix layout, multi-root read path); also shares the
-    global DRDS sequence across channel sets.
+    read-only memmaps and attached by every sweep process (multi-root
+    read path); also shares the global DRDS sequence across channel
+    sets.
 results
     Persistent result cache: whole sweep measurements keyed by a
     content digest of their knob-invariant inputs, served back in

@@ -4,11 +4,7 @@ The Table-1 regime the paper cares about (worst-case TTR growing
 superlinearly in the universe size ``n``) is exactly where period
 tables get expensive: DRDS's global sequence spans ``45 n^2 + 8n``
 slots, and materializing it (:meth:`~repro.core.schedule.Schedule.period_table`)
-costs a full pass over the period.  Before this module existed, every
-:class:`~repro.sim.runner.SweepRunner` worker process rebuilt each
-table it touched — the dominant cost of dense-universe sweeps
-(``n = 128, 256``), since the sweep kernel itself is cheap per
-pair.
+costs a full pass over the period.
 
 :class:`ScheduleStore` materializes each distinct
 ``(channels, n, algorithm, seed)`` period table **exactly once** into a
@@ -16,39 +12,29 @@ numpy ``.npy`` file under a store directory, and hands out *read-only
 memmap views* of it.  The key is the same cache key ``SweepRunner``
 already uses (:func:`store_key`: the seed collapses to ``-1`` for every
 deterministic algorithm), so a store can front any sweep without
-changing its semantics.  Workers attach by path — attaching is a file
-open plus an mmap, not a rebuild — and the OS page cache shares the
-physical pages across every process on the machine.
+changing its semantics.  Workers attach by path — a file open plus an
+mmap, not a rebuild — and the OS page cache shares the physical pages
+across every process on the machine.
 
 Contracts
 ---------
 * ``get`` returns a :class:`StoredSchedule` whose ``period_table()`` is
-  the memmap itself — no copy is ever taken on the attach path, and the
-  view is read-only (writing through it raises).
+  the memmap itself — never a copy, and read-only.
 * ``builds`` / ``attaches`` / ``bypasses`` / ``evictions`` count what
   actually happened; benches assert "built exactly once per sweep"
   against ``builds``.
-* The on-disk footprint is capped by ``memory_cap`` bytes: storing a
-  new table evicts least-recently-attached entries first (mtime order).
-  Tables whose period exceeds ``STORE_PERIOD_LIMIT`` — or that would
-  not fit under the cap at all — bypass the store and come back as
-  ordinary in-process schedules.
-* Writes are atomic (temp file + ``os.replace``), so concurrent
-  builders of the same key race benignly: last writer wins, both
-  results are identical.
-* The on-disk layout is **sharded**: tables live in digest-prefix
-  subdirectories (``ab/<digest>.npy``) so no single directory listing
-  grows unbounded, and legacy flat stores (``<digest>.npy`` in the
-  root) keep attaching.  Extra ``read_roots`` form a multi-root read
-  path — several hosts/processes can share one warm corpus (say, a
-  read-only network mount) while each writes only its own primary
-  root.
+* Storage follows :mod:`repro.core.blobs`: a ``.json`` sidecar, then
+  the ``.npy`` table as the marker; ``memory_cap`` bounds every byte on
+  disk, evicting least-recently-attached tables first; ``read_roots``
+  let several hosts share one warm corpus while each writes only its
+  own primary root.  Tables whose period exceeds
+  ``STORE_PERIOD_LIMIT``, or that would not fit under the cap at all,
+  bypass the store as ordinary in-process schedules.
 * The *global* DRDS sequence (one per universe size, shared by every
   channel set) is stored once as its own entry
   (:data:`GLOBAL_SEQUENCE_ALGORITHM`) and per-set DRDS tables are
   built by projecting the attached memmap — counted separately in
-  ``global_builds`` / ``global_attaches`` so per-set "built exactly
-  once" assertions keep their meaning.
+  ``global_builds`` / ``global_attaches``.
 
 See ``docs/ARCHITECTURE.md`` for where the store sits in the data flow
 and ``docs/API.md`` for the call-level reference.
@@ -57,15 +43,16 @@ and ``docs/API.md`` for the call-level reference.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
-import tempfile
 from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
 
 from repro.core import telemetry
+from repro.core.blobs import BlobStore
 from repro.core.schedule import _CACHE_LIMIT, Schedule
 
 __all__ = [
@@ -78,10 +65,9 @@ __all__ = [
     "DEFAULT_MEMORY_CAP",
     "STORE_PERIOD_LIMIT",
     "GLOBAL_SEQUENCE_ALGORITHM",
-    "SHARD_PREFIX_LEN",
 ]
 
-#: Default cap on the total bytes of period tables kept in a store.
+#: Default cap on the bytes a store keeps on disk.
 DEFAULT_MEMORY_CAP = 1 << 30
 
 #: Largest period (slots) the store will materialize.  Shares the
@@ -92,12 +78,6 @@ STORE_PERIOD_LIMIT = _CACHE_LIMIT
 #: Pseudo-algorithm name under which the global DRDS sequence (one per
 #: universe size, independent of any channel set) is stored.
 GLOBAL_SEQUENCE_ALGORITHM = "drds-global"
-
-#: Hex digits of the digest that name a shard subdirectory.  Two digits
-#: spread a large corpus over at most 256 directories, so no single
-#: directory's listing grows unbounded — the layout several hosts can
-#: rsync/NFS-share without directory-size pathologies.
-SHARD_PREFIX_LEN = 2
 
 
 def store_key(
@@ -231,28 +211,12 @@ def coerce_schedule(x: Schedule | np.ndarray) -> Schedule:
 class ScheduleStore:
     """Materialize-once, attach-many store of schedule period tables.
 
-    Parameters
-    ----------
-    store_dir:
-        Primary root.  Tables land in digest-prefix shard
-        subdirectories (``<digest[:2]>/<digest>.npy`` plus a
-        ``.json`` metadata sidecar); created if missing.  Handing the
-        same path to another process (or another ``ScheduleStore``)
-        attaches the same tables.  Pre-shard stores that kept
-        ``<digest>.npy`` flat in the root keep working: the read path
-        checks the sharded location first and falls back to the legacy
-        flat one.
-    memory_cap:
-        Soft cap in bytes on the total size of stored tables; storing a
-        table that would exceed it evicts least-recently-attached
-        entries first.
-    read_roots:
-        Extra store roots searched (sharded layout, then legacy flat)
-        when the primary misses — the multi-root read path that lets
-        several hosts or jobs share one warm corpus (e.g. a read-only
-        NFS mount) while writing locally.  Never written, never
-        evicted, not listed by :meth:`entries`; builds always land in
-        the primary root.
+    A view over one :class:`~repro.core.blobs.BlobStore` rooted at
+    ``store_dir``: each table is a ``<digest>.json`` metadata sidecar
+    plus the ``<digest>.npy`` table, its marker.  ``memory_cap`` bounds
+    every byte on disk, sidecars and ``.npy`` headers included.
+    ``read_roots`` are searched when the primary misses (say, a
+    read-only NFS corpus); builds always land in the primary root.
     """
 
     def __init__(
@@ -261,12 +225,10 @@ class ScheduleStore:
         memory_cap: int = DEFAULT_MEMORY_CAP,
         read_roots: Iterable[str | os.PathLike] = (),
     ):
-        if memory_cap <= 0:
-            raise ValueError(f"memory_cap must be positive, got {memory_cap}")
-        self.store_dir = Path(store_dir)
-        self.store_dir.mkdir(parents=True, exist_ok=True)
-        self.read_roots = tuple(Path(root) for root in read_roots)
-        self.memory_cap = int(memory_cap)
+        self._blobs = BlobStore(store_dir, (".json", ".npy"), memory_cap, read_roots)
+        self.store_dir = self._blobs.root
+        self.read_roots = self._blobs.read_roots
+        self.memory_cap = self._blobs.memory_cap
         self.builds = 0
         self.attaches = 0
         self.bypasses = 0
@@ -275,13 +237,13 @@ class ScheduleStore:
         self.global_attaches = 0
         self._globals: dict[int, np.ndarray] = {}
 
-    def _bump(self, name: str) -> None:
+    def _bump(self, name: str, delta: int = 1) -> None:
         """Increment one counter: the instance attribute stays the
         public per-store view, and the same event lands on the process
         telemetry registry under ``store.schedule.<name>`` so one
         :func:`repro.core.telemetry.snapshot` covers every store."""
-        setattr(self, name, getattr(self, name) + 1)
-        telemetry.count(f"store.schedule.{name}")
+        setattr(self, name, getattr(self, name) + delta)
+        telemetry.count(f"store.schedule.{name}", delta)
 
     # -- lookup ----------------------------------------------------------
 
@@ -297,30 +259,28 @@ class ScheduleStore:
         Returns a :class:`StoredSchedule` over a read-only memmap, or —
         when the table is too large to store (period above
         ``STORE_PERIOD_LIMIT`` or bigger than the whole cap) — a plain
-        in-process schedule, counted in ``bypasses``.
+        in-process schedule, counted in ``bypasses``.  A table evicted
+        by another process between lookup and attach is rebuilt.
         """
         key = store_key(channels, n, algorithm, seed)
         digest = key_digest(key)
-        attached = self._try_attach(self._find_table(digest), key[0])
-        if attached is not None:
-            return attached
-
+        table = self._blobs.read(digest, _attach)
+        if table is not None:
+            self._bump("attaches")
+            return StoredSchedule(table, key[0])
         schedule = self._build_for_store(key[0], n, algorithm, seed)
-        if schedule.period > STORE_PERIOD_LIMIT:
+        # The period check comes first: an overlong period is never
+        # materialized.
+        if schedule.period > STORE_PERIOD_LIMIT or not self._put(
+            digest, key, schedule.period_table()
+        ):
             self._bump("bypasses")
             return schedule
-        table = np.ascontiguousarray(schedule.period_table(), dtype=np.int64)
-        if not self._ensure_capacity(table.nbytes):
-            self._bump("bypasses")
-            return schedule
-        self._write(digest, key, table)
         self._bump("builds")
-        attached = self._try_attach(self._table_path(digest), key[0], count=False)
-        if attached is not None:
-            return attached
-        # Evicted by a concurrent process in the write-to-open window:
-        # the in-process schedule is still correct.
-        return schedule
+        table = self._blobs.read(digest, _attach)
+        # None: evicted by a concurrent process in the write-to-attach
+        # window; the in-process schedule is still correct.
+        return schedule if table is None else StoredSchedule(table, key[0])
 
     def contains(
         self,
@@ -329,90 +289,64 @@ class ScheduleStore:
         algorithm: str,
         seed: int = 0,
     ) -> bool:
-        """Whether the table for this key is currently materialized.
-
-        Checks the primary root (sharded and legacy flat layouts) and
-        every extra read root.
-        """
-        return (
-            self._find_table(key_digest(store_key(channels, n, algorithm, seed)))
-            is not None
-        )
+        """Whether the table for this key is stored in any root."""
+        return self._blobs.exists(key_digest(store_key(channels, n, algorithm, seed)))
 
     def global_sequence(self, n: int) -> np.ndarray:
         """The global DRDS channel sequence for universe ``n``, shared.
 
-        The sequence spans ``45 n^2 + 8n`` slots and is *independent of
-        any channel set*, so it is materialized into the store exactly
-        once per universe size (as an entry under
+        The ``45 n^2 + 8n``-slot sequence is *independent of any channel
+        set*, so it is materialized once per universe size (under
         :data:`GLOBAL_SEQUENCE_ALGORITHM`) and attached read-only by
-        every later caller — same store, another runner, another
-        process.  The per-set ``drds`` tables built through ``get``
-        project this shared memmap instead of rebuilding the sequence.
-
-        Counted in ``global_builds`` / ``global_attaches``, separate
-        from the per-set ``builds`` / ``attaches`` so sweeps' "built
-        exactly once per distinct key" assertions keep their meaning.
-        A sequence that cannot be stored (period or capacity limits)
-        is built in-process; the per-set miss that needed it records
-        the ``bypasses`` count, so one unstored schedule is one bypass.
+        every later caller; per-set ``drds`` tables project it.
+        Counted in ``global_builds`` / ``global_attaches``, apart from
+        the per-set counters.  A sequence that cannot be stored is
+        built in-process; the per-set miss that needed it is the one
+        ``bypasses`` event.
         """
         cached = self._globals.get(n)
         if cached is not None:
             return cached
         key = store_key((), n, GLOBAL_SEQUENCE_ALGORITHM)
         digest = key_digest(key)
-        attached = self._attach_array(self._find_table(digest))
-        if attached is not None:
+        sequence = self._blobs.read(digest, _attach)
+        if sequence is not None:
             self._bump("global_attaches")
-            self._globals[n] = attached
-            return attached
-        from repro.baselines.drds import build_global_sequence
+        else:
+            from repro.baselines.drds import build_global_sequence
 
-        sequence = np.ascontiguousarray(build_global_sequence(n), dtype=np.int64)
-        if sequence.size > STORE_PERIOD_LIMIT or not self._ensure_capacity(
-            sequence.nbytes
-        ):
-            # Not counted in `bypasses`: the per-set miss that needed
-            # this sequence is the one bypass event (its table is
-            # necessarily unstorable for the same reason).
-            self._globals[n] = sequence
-            return sequence
-        self._write(digest, key, sequence)
-        self._bump("global_builds")
-        attached = self._attach_array(self._table_path(digest))
-        self._globals[n] = sequence if attached is None else attached
-        return self._globals[n]
+            sequence = np.ascontiguousarray(build_global_sequence(n), dtype=np.int64)
+            if sequence.size <= STORE_PERIOD_LIMIT and self._put(digest, key, sequence):
+                self._bump("global_builds")
+                attached = self._blobs.read(digest, _attach)
+                if attached is not None:
+                    sequence = attached
+        self._globals[n] = sequence
+        return sequence
 
     # -- inspection ------------------------------------------------------
 
     def entries(self) -> list[dict]:
-        """Metadata of every stored table, least-recently-attached first.
+        """Metadata of every primary-root table, least-recently-attached first.
 
         Each entry carries ``digest``, ``algorithm``, ``n``, ``seed``,
-        ``channels``, ``period``, ``nbytes`` and ``last_used`` (the
-        table file's mtime, refreshed on every attach).  Lists the
-        *primary* root only — both the sharded layout and legacy flat
-        files — since that is the capacity/eviction domain; extra read
-        roots belong to whoever owns them.
+        ``channels`` and ``period`` from the sidecar, plus ``nbytes``
+        (bytes on disk) and ``last_used`` (the table file's mtime,
+        refreshed on every attach).
         """
         rows = []
-        meta_paths = sorted(self.store_dir.glob("*.json")) + sorted(
-            self.store_dir.glob(f"{'[0-9a-f]' * SHARD_PREFIX_LEN}/*.json")
-        )
-        for meta_path in meta_paths:
-            table_path = meta_path.with_suffix(".npy")
-            if not table_path.exists():
+        for digest, nbytes, last_used in self._blobs.lru():
+            try:
+                meta = json.loads(self._blobs.path(digest, ".json").read_bytes())
+            except (OSError, ValueError):
                 continue
-            meta = json.loads(meta_path.read_text())
-            meta["last_used"] = table_path.stat().st_mtime
+            meta.update(digest=digest, nbytes=nbytes, last_used=last_used)
             rows.append(meta)
-        rows.sort(key=lambda m: m["last_used"])
         return rows
 
     def total_bytes(self) -> int:
-        """Total size of all stored period tables, in bytes."""
-        return sum(m["nbytes"] for m in self.entries())
+        """Bytes on disk in the primary root: tables, headers and sidecars."""
+        return self._blobs.usage()[1]
 
     def stats(self) -> dict[str, int]:
         """Counter snapshot: builds, attaches, bypasses, evictions, entries, bytes.
@@ -420,7 +354,7 @@ class ScheduleStore:
         ``global_builds`` / ``global_attaches`` track the shared global
         DRDS sequence separately from the per-set table counters.
         """
-        entries = self.entries()
+        entries, total_bytes = self._blobs.usage()
         return {
             "builds": self.builds,
             "attaches": self.attaches,
@@ -428,39 +362,26 @@ class ScheduleStore:
             "evictions": self.evictions,
             "global_builds": self.global_builds,
             "global_attaches": self.global_attaches,
-            "entries": len(entries),
-            "total_bytes": sum(m["nbytes"] for m in entries),
+            "entries": entries,
+            "total_bytes": total_bytes,
         }
 
     # -- eviction --------------------------------------------------------
 
     def evict(self, digest: str) -> bool:
-        """Drop one stored table by digest; returns whether it existed.
+        """Drop one primary-root table by digest; returns whether it existed.
 
-        Covers both the sharded and legacy flat layouts of the primary
-        root; read roots are never touched.  Already-attached memmaps
-        stay valid (the mapping holds the pages); only future ``get``
-        calls rebuild.
+        Leftovers of a killed write go too.  Attached memmaps stay valid
+        (the mapping holds the pages); only future ``get`` calls rebuild.
         """
-        existed = False
-        for table_path in (
-            self._table_path(digest),
-            self.store_dir / f"{digest}.npy",
-        ):
-            if table_path.exists():
-                existed = True
-            table_path.unlink(missing_ok=True)
-            table_path.with_suffix(".json").unlink(missing_ok=True)
+        existed = self._blobs.evict(digest)
         if existed:
             self._bump("evictions")
         return existed
 
     def clear(self) -> int:
-        """Evict every stored table; returns how many were dropped."""
-        count = 0
-        for meta in self.entries():
-            count += int(self.evict(meta["digest"]))
-        return count
+        """Evict every table and leftover; returns how many tables were dropped."""
+        return sum(self.evict(digest) for digest in self._blobs.scan())
 
     # -- internals -------------------------------------------------------
 
@@ -481,107 +402,41 @@ class ScheduleStore:
             return DRDSSchedule(channels, n, global_sequence=self.global_sequence(n))
         return build_plain(channels, n, algorithm, seed)
 
-    def _attach_array(self, path: Path | None) -> np.ndarray | None:
-        """mmap one stored table read-only, or None if it is (or just
-        became) absent — a concurrent eviction between the existence
-        check and the open must fall through to the build path, not
-        raise."""
-        if path is None or not path.exists():
-            return None
-        try:
-            table = np.load(path, mmap_mode="r")
-        except OSError:
-            return None
-        # Refresh the LRU position *after* the attach succeeded, and
-        # tolerate failure separately: on a read-only root (or when a
-        # concurrent eviction wins the race) the timestamp cannot be
-        # updated, but the mapping is live and the attach stands —
-        # discarding it here would silently rebuild a warm table.
-        try:
-            os.utime(path)
-        except OSError:
-            pass
-        return table
-
-    def _try_attach(
-        self, path: Path | None, channels: frozenset[int], count: bool = True
-    ) -> StoredSchedule | None:
-        """Attach one per-set table as a schedule view; None if absent."""
-        table = self._attach_array(path)
-        if table is None:
-            return None
-        if count:
-            self._bump("attaches")
-        return StoredSchedule(table, channels)
-
-    def _table_path(self, digest: str) -> Path:
-        """Primary-root write location: the digest-prefix shard subdir."""
-        return self.store_dir / digest[:SHARD_PREFIX_LEN] / f"{digest}.npy"
-
-    def _meta_path(self, digest: str) -> Path:
-        return self._table_path(digest).with_suffix(".json")
-
-    def _find_table(self, digest: str) -> Path | None:
-        """Locate one table across roots and layouts, or None.
-
-        Search order: primary root sharded, primary root legacy flat,
-        then each extra read root (sharded, then flat).  First match
-        wins — a table promoted into the primary root shadows the same
-        digest in any read root.
-        """
-        for root in (self.store_dir, *self.read_roots):
-            for candidate in (
-                root / digest[:SHARD_PREFIX_LEN] / f"{digest}.npy",
-                root / f"{digest}.npy",
-            ):
-                if candidate.exists():
-                    return candidate
-        return None
-
-    def _ensure_capacity(self, incoming: int) -> bool:
-        """Make room for ``incoming`` bytes; False if it can never fit."""
-        if incoming > self.memory_cap:
-            return False
-        entries = self.entries()  # least-recently-attached first
-        total = sum(m["nbytes"] for m in entries)
-        while total + incoming > self.memory_cap and entries:
-            victim = entries.pop(0)
-            if self.evict(victim["digest"]):
-                total -= victim["nbytes"]
-        return True
-
-    def _write(
+    def _put(
         self,
         digest: str,
         key: tuple[frozenset[int], int, str, int],
         table: np.ndarray,
-    ) -> None:
-        """Atomically persist one table and its metadata sidecar."""
+    ) -> bool:
+        """Store one table and its sidecar; False if it can never fit the cap.
+
+        The cap counts the bytes the files will take: the sidecar, the
+        ``.npy`` header and the table itself.
+        """
         channels, n, algorithm, seed = key
-        shard_dir = self._table_path(digest).parent
-        shard_dir.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=shard_dir, suffix=".npy.tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                np.save(handle, table)
-            os.replace(tmp, self._table_path(digest))
-        except BaseException:
-            Path(tmp).unlink(missing_ok=True)
-            raise
-        meta = {
-            "digest": digest,
-            "algorithm": algorithm,
-            "n": n,
-            "seed": seed,
-            "channels": sorted(channels),
-            "period": int(table.size),
-            "nbytes": int(table.nbytes),
-        }
-        fd, tmp = tempfile.mkstemp(dir=shard_dir, suffix=".json.tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(meta, handle, indent=2)
-            os.replace(tmp, self._meta_path(digest))
-        except BaseException:
-            Path(tmp).unlink(missing_ok=True)
-            raise
+        table = np.ascontiguousarray(table, dtype=np.int64)
+        meta = json.dumps(
+            {"digest": digest, "algorithm": algorithm, "n": n, "seed": seed,
+             "channels": sorted(channels), "period": int(table.size)},
+            indent=2,
+        ).encode()
+        header = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            header, np.lib.format.header_data_from_array_1_0(table)
+        )
+        evicted = self._blobs.put(
+            digest,
+            len(meta) + header.tell() + table.nbytes,
+            {
+                ".json": lambda handle: handle.write(meta),
+                ".npy": lambda handle: np.save(handle, table),
+            },
+        )
+        if evicted:
+            self._bump("evictions", evicted)
+        return evicted is not None
+
+
+def _attach(path: Path) -> np.ndarray:
+    """mmap one stored table read-only."""
+    return np.load(path, mmap_mode="r")

@@ -65,7 +65,6 @@ import hashlib
 import json
 import math
 import os
-import tempfile
 import threading
 from collections.abc import Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
@@ -76,6 +75,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.core import telemetry
+from repro.core.blobs import atomic_write
 from repro.core.environment import (
     Environment,
     effective_horizon,
@@ -278,22 +278,15 @@ class SweepCheckpoint:
     The snapshot is keyed by a spec digest (each schedule's identity,
     the deduped offset pairs, the effective horizon, the environment);
     a snapshot from a *different* sweep is ignored and overwritten,
-    never merged.  Saves are atomic (temp file plus ``os.replace``), so
-    a kill mid-save leaves the previous valid snapshot.
-    ``interval_blocks`` sets the save cadence: a snapshot every that
-    many time-block boundaries (``1``: every boundary — maximal
-    resumability, maximal I/O).  ``saves`` counts snapshots actually
-    written; ``clear()`` deletes the file (the runner calls it after a
-    sweep completes).
+    never merged.  A snapshot is saved at every time-block boundary,
+    atomically (:func:`~repro.core.blobs.atomic_write`), so a kill
+    mid-save leaves the previous valid snapshot.  ``saves`` counts
+    snapshots actually written; ``clear()`` deletes the file (the
+    runner calls it after a sweep completes).
     """
 
-    def __init__(self, path: str | os.PathLike, interval_blocks: int = 1):
-        if interval_blocks <= 0:
-            raise ValueError(
-                f"interval_blocks must be positive, got {interval_blocks}"
-            )
+    def __init__(self, path: str | os.PathLike):
         self.path = Path(path)
-        self.interval_blocks = int(interval_blocks)
         self.saves = 0
 
     def load(self) -> dict | None:
@@ -307,17 +300,9 @@ class SweepCheckpoint:
     def save(self, state: dict) -> None:
         """Atomically persist one snapshot (temp file + ``os.replace``)."""
         with telemetry.span("stream.checkpoint_io") as io_span:
-            payload = json.dumps(state)
+            payload = json.dumps(state).encode()
             io_span.add_bytes(len(payload))
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=self.path.parent, suffix=".ckpt.tmp")
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    handle.write(payload)
-                os.replace(tmp, self.path)
-            except BaseException:
-                Path(tmp).unlink(missing_ok=True)
-                raise
+            atomic_write(self.path, lambda handle: handle.write(payload))
             self.saves += 1
 
     def clear(self) -> None:
@@ -371,7 +356,6 @@ class _CheckpointRecorder:
         self._sink = sink
         self._spec = spec
         self._lock = threading.Lock()
-        self._ticks = 0
         self._groups = {
             gid: {
                 "resolved": np.full(size, _UNRESOLVED, dtype=np.int64),
@@ -410,12 +394,11 @@ class _CheckpointRecorder:
         live_rows: np.ndarray,
         frontier: int,
     ) -> None:
-        """Record one time-block boundary; snapshot on cadence.
+        """Record one time-block boundary and snapshot it.
 
         ``done_rows`` retire with final values ``done_vals`` (TTR or
         ``-1`` miss); ``live_rows`` advance their frontier to
-        ``frontier``.  Every ``interval_blocks``-th call writes a
-        snapshot through the sink.
+        ``frontier``.  Every call writes a snapshot through the sink.
         """
         with self._lock:
             group = self._groups[gid]
@@ -423,9 +406,7 @@ class _CheckpointRecorder:
                 group["resolved"][done_rows] = done_vals
             if live_rows.size:
                 group["frontier"][live_rows] = frontier
-            self._ticks += 1
-            if self._ticks % self._sink.interval_blocks == 0:
-                self._sink.save(self._serialize())
+            self._sink.save(self._serialize())
 
     def _serialize(self) -> dict:
         return {

@@ -516,84 +516,85 @@ def simulate_population(
     active = np.zeros(num_cohorts, dtype=bool)
     slots_simulated = 0
     done = early_stop and remaining == 0
-    for start in range(0, horizon, chunk):
-        if done:
-            break
-        stop = min(start + chunk, horizon)
-        leaves: list[int] = []
-        for _, kind, cohort in wheel.pop(start // chunk):
-            if kind == WAKE:
-                active[cohort] = True
-            else:
-                leaves.append(cohort)
-        rows_idx = np.nonzero(active)[0]
-        if rows_idx.size == 0:
-            slots_simulated = stop
+    with telemetry.span("netsim.simulate"):
+        for start in range(0, horizon, chunk):
+            if done:
+                break
+            stop = min(start + chunk, horizon)
+            leaves: list[int] = []
+            for _, kind, cohort in wheel.pop(start // chunk):
+                if kind == WAKE:
+                    active[cohort] = True
+                else:
+                    leaves.append(cohort)
+            rows_idx = np.nonzero(active)[0]
+            if rows_idx.size == 0:
+                slots_simulated = stop
+                for cohort in leaves:
+                    active[cohort] = False
+                continue
+            telemetry.count("netsim.chunks")
+            telemetry.count("netsim.cohort_rows", int(rows_idx.size))
+            with telemetry.span("netsim.assemble") as assemble_span:
+                rows = _assemble_rows(population, rows_idx, start, stop)
+                assemble_span.add_bytes(rows.nbytes)
+            sizes_rows = sizes[rows_idx]
+            valid_chunk = None
+            if environment is not None and num_channels:
+                # One (channel, slot) validity grid per chunk, shared by
+                # every bucket below — the identical mask generator the
+                # sweep engines tile with.
+                with telemetry.span("netsim.mask"):
+                    valid_chunk = np.broadcast_to(
+                        environment.slot_mask(
+                            np.arange(num_channels, dtype=np.int64)[:, None],
+                            np.arange(start, stop, dtype=np.int64)[None, :],
+                        ),
+                        (num_channels, stop - start),
+                    )
+            with telemetry.span("netsim.scan"):
+                for s in range(stop - start):
+                    column = rows[:, s]
+                    awake = column >= 0
+                    slots_simulated = start + s + 1
+                    if not awake.any():
+                        continue
+                    values = column[awake]
+                    agents_on = np.bincount(
+                        values, weights=sizes_rows[awake], minlength=num_channels
+                    ).astype(np.int64)
+                    crowded = agents_on >= 2
+                    contended_slots += crowded
+                    pair_colocations += np.where(
+                        crowded, agents_on * (agents_on - 1) // 2, 0
+                    )
+                    if remaining:
+                        counts = np.bincount(values, minlength=num_channels)
+                        for channel in np.nonzero(counts >= 2)[0]:
+                            if valid_chunk is not None and not valid_chunk[channel, s]:
+                                continue
+                            bucket = rows_idx[awake & (column == channel)]
+                            sub = pending[np.ix_(bucket, bucket)]
+                            if not sub.any():
+                                continue
+                            ii, jj = np.nonzero(np.triu(sub, 1))
+                            first, second = bucket[ii], bucket[jj]
+                            ev_i.append(first)
+                            ev_j.append(second)
+                            ev_t.append(
+                                np.full(first.size, start + s, dtype=np.int64)
+                            )
+                            ev_c.append(
+                                np.full(first.size, channel, dtype=np.int64)
+                            )
+                            pending[first, second] = False
+                            pending[second, first] = False
+                            remaining -= first.size
+                    if early_stop and remaining == 0:
+                        done = True
+                        break
             for cohort in leaves:
                 active[cohort] = False
-            continue
-        telemetry.count("netsim.chunks")
-        telemetry.count("netsim.cohort_rows", int(rows_idx.size))
-        with telemetry.span("netsim.assemble") as assemble_span:
-            rows = _assemble_rows(population, rows_idx, start, stop)
-            assemble_span.add_bytes(rows.nbytes)
-        sizes_rows = sizes[rows_idx]
-        valid_chunk = None
-        if environment is not None and num_channels:
-            # One (channel, slot) validity grid per chunk, shared by
-            # every bucket below — the identical mask generator the
-            # sweep engines tile with.
-            with telemetry.span("netsim.mask"):
-                valid_chunk = np.broadcast_to(
-                    environment.slot_mask(
-                        np.arange(num_channels, dtype=np.int64)[:, None],
-                        np.arange(start, stop, dtype=np.int64)[None, :],
-                    ),
-                    (num_channels, stop - start),
-                )
-        with telemetry.span("netsim.scan"):
-            for s in range(stop - start):
-                column = rows[:, s]
-                awake = column >= 0
-                slots_simulated = start + s + 1
-                if not awake.any():
-                    continue
-                values = column[awake]
-                agents_on = np.bincount(
-                    values, weights=sizes_rows[awake], minlength=num_channels
-                ).astype(np.int64)
-                crowded = agents_on >= 2
-                contended_slots += crowded
-                pair_colocations += np.where(
-                    crowded, agents_on * (agents_on - 1) // 2, 0
-                )
-                if remaining:
-                    counts = np.bincount(values, minlength=num_channels)
-                    for channel in np.nonzero(counts >= 2)[0]:
-                        if valid_chunk is not None and not valid_chunk[channel, s]:
-                            continue
-                        bucket = rows_idx[awake & (column == channel)]
-                        sub = pending[np.ix_(bucket, bucket)]
-                        if not sub.any():
-                            continue
-                        ii, jj = np.nonzero(np.triu(sub, 1))
-                        first, second = bucket[ii], bucket[jj]
-                        ev_i.append(first)
-                        ev_j.append(second)
-                        ev_t.append(
-                            np.full(first.size, start + s, dtype=np.int64)
-                        )
-                        ev_c.append(
-                            np.full(first.size, channel, dtype=np.int64)
-                        )
-                        pending[first, second] = False
-                        pending[second, first] = False
-                        remaining -= first.size
-                if early_stop and remaining == 0:
-                    done = True
-                    break
-        for cohort in leaves:
-            active[cohort] = False
 
     def _concat(parts: list[np.ndarray]) -> np.ndarray:
         return (

@@ -172,7 +172,7 @@ class SweepRunner:
     **Result-cache contract.** With ``results=`` (a
     :class:`~repro.core.results.ResultStore` or a directory path),
     ``measure_pair`` consults the persistent result cache *before
-    building any schedule* — a warm query costs one shard read, not a
+    building any schedule* — a warm query costs one record read, not a
     sweep — and writes every computed measurement through after.  The
     cache key is knob-invariant (see
     :func:`repro.core.results.pair_query`), so results computed under

@@ -6,9 +6,9 @@ import json
 
 import pytest
 
+from repro.core.blobs import SHARD_PREFIX_LEN
 from repro.core.results import (
     DEFAULT_RESULT_CAP,
-    SHARD_PREFIX_LEN,
     ResultStore,
     pair_query,
     result_digest,
@@ -67,9 +67,9 @@ class TestResultStore:
         store = ResultStore(tmp_path)
         store.put(_query(), _value())
         digest = result_digest(_query())
-        shard = tmp_path / f"{digest[:SHARD_PREFIX_LEN]}.jsonl"
-        assert shard.exists()
-        record = json.loads(shard.read_text().splitlines()[0])
+        path = tmp_path / digest[:SHARD_PREFIX_LEN] / f"{digest}.json"
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [path]
+        record = json.loads(path.read_text())
         assert record == {"digest": digest, "query": _query(), "value": _value()}
 
     def test_put_replaces_same_digest(self, tmp_path):
@@ -90,12 +90,21 @@ class TestResultStore:
         assert store.get(_query(1)) == _value(1)
 
     def test_corrupt_lines_degrade_to_misses(self, tmp_path):
+        # A record written by a non-atomic external tool, or one filed
+        # under the wrong digest, is a miss, never a wrong answer.
         store = ResultStore(tmp_path)
-        store.put(_query(), _value())
-        digest = result_digest(_query())
-        shard = tmp_path / f"{digest[:SHARD_PREFIX_LEN]}.jsonl"
-        shard.write_text('{"truncated-by-a-non-atomic\n' + shard.read_text())
-        assert store.get(_query()) == _value()
+        store.put(_query(0), _value(0))
+        store.put(_query(1), _value(1))
+        digest = result_digest(_query(0))
+        path = tmp_path / digest[:SHARD_PREFIX_LEN] / f"{digest}.json"
+        path.write_text('{"truncated-by-a-non-atomic')
+        assert store.get(_query(0)) is None
+        other = result_digest(_query(1))
+        (tmp_path / other[:SHARD_PREFIX_LEN] / f"{other}.json").replace(path)
+        assert store.get(_query(0)) is None
+        assert store.misses == 2
+        store.put(_query(0), _value(0))
+        assert store.get(_query(0)) == _value(0)
 
     def test_eviction_under_byte_cap(self, tmp_path):
         store = ResultStore(tmp_path, memory_cap=2_000)
@@ -113,13 +122,12 @@ class TestResultStore:
         store = ResultStore(tmp_path)
         store.put(_query(0), _value(0))
         store.put(_query(1), _value(1))
-        # Backdate both shards past the filesystem's timestamp
-        # granularity, then hit shard 0: the hit must leave it newest.
-        for shard in store._shards():
-            os.utime(shard, (1, 1))
+        # Backdate both records past the filesystem's timestamp
+        # granularity, then hit record 0: the hit must leave it newest.
+        for path in tmp_path.rglob("*.json"):
+            os.utime(path, (1, 1))
         store.get(_query(0))
-        digest = result_digest(_query(0))
-        assert store._shards()[-1].name == f"{digest[:SHARD_PREFIX_LEN]}.jsonl"
+        assert store.entries()[-1]["digest"] == result_digest(_query(0))
 
     def test_clear_and_stats(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -147,10 +155,10 @@ class TestEnvironmentKeys:
     def _twins():
         """A clean query and a faulted twin whose digests share a shard.
 
-        Shards are named by digest prefix, so most environment seeds
-        land the two records in different files; scanning seeds for a
-        prefix match pins the adversarial case — both rows in one
-        shard file — deterministically.
+        Shard directories are named by digest prefix, so most
+        environment seeds land the two records in different ones;
+        scanning seeds for a prefix match pins the adversarial case —
+        both records in one shard directory — deterministically.
         """
         from repro.core.environment import FadingMisses
 
@@ -185,7 +193,7 @@ class TestEnvironmentKeys:
         store = ResultStore(tmp_path)
         store.put(clean, {"worst_ttr": 111, "missed": 0})
         store.put(faulted, {"worst_ttr": 999, "missed": 7})
-        assert len(store._shards()) == 1  # genuinely co-resident
+        assert [p.name for p in tmp_path.iterdir()] == [shard]  # co-resident
         assert store.get(clean) == {"worst_ttr": 111, "missed": 0}
         assert store.get(faulted) == {"worst_ttr": 999, "missed": 7}
 
@@ -195,13 +203,12 @@ class TestEnvironmentKeys:
         store.put(clean, _value(0))
         store.put(faulted, _value(1))
         assert store.evictions == 0
-        # Fill with unrelated records until cold shards evict; the
-        # twins' shard was written last, so it survives the first
-        # eviction wave and both rows stay answerable.
+        # Fill with unrelated records until cold ones evict; whichever
+        # twins survive stay answerable, and evicted ones are misses.
         import os
 
-        for shard in store._shards():
-            os.utime(shard, (1, 1))
+        for path in tmp_path.rglob("*.json"):
+            os.utime(path, (1, 1))
         evicted_before = store.evictions
         for tag in range(2, 30):
             store.put(_query(tag), _value(tag))

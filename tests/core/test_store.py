@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 import repro
+from repro.core.blobs import SHARD_PREFIX_LEN
 from repro.core.stream import ttr_sweep
 from repro.core.store import (
-    SHARD_PREFIX_LEN,
     STORE_PERIOD_LIMIT,
     ScheduleStore,
     StoredSchedule,
@@ -131,9 +131,7 @@ class TestScheduleStore:
         schedule = repro.build_schedule([1, 5], 16, algorithm="crseq", store=store)
         assert isinstance(schedule, StoredSchedule)
         assert store.builds == 1
-        from repro.baselines import build_baseline
-
-        again = build_baseline([1, 5], 16, "crseq", store=store)
+        again = repro.build_schedule([1, 5], 16, algorithm="crseq", store=store)
         assert store.attaches == 1
         assert np.array_equal(schedule.period_table(), again.period_table())
 
@@ -168,6 +166,16 @@ class TestScheduleStore:
         assert not isinstance(schedule, StoredSchedule)
         assert schedule.period == 867
 
+    def test_overlong_period_is_never_materialized(self, tmp_path, monkeypatch):
+        import repro.core.store as store_module
+
+        monkeypatch.setattr(store_module, "STORE_PERIOD_LIMIT", 100)
+        store = ScheduleStore(tmp_path)
+        schedule = store.get([1, 2], 16, "crseq")  # period 867 > 100
+        assert store.bypasses == 1
+        assert not schedule.has_warm_table()
+        assert store.entries() == []
+
     def test_period_limit_is_schedule_cache_limit(self):
         from repro.core.schedule import _CACHE_LIMIT
 
@@ -191,7 +199,9 @@ class TestScheduleStore:
         assert stats["builds"] == 1
         assert stats["attaches"] == 1
         assert stats["entries"] == 1
-        assert stats["total_bytes"] == 867 * 8
+        # Every byte on disk counts: the table, its .npy header, the sidecar.
+        on_disk = sum(p.stat().st_size for p in tmp_path.rglob("*") if p.is_file())
+        assert stats["total_bytes"] == on_disk > 867 * 8
 
     def test_rejects_nonpositive_cap(self, tmp_path):
         with pytest.raises(ValueError):
@@ -217,8 +227,6 @@ class TestScheduleStore:
 
 class TestShardedLayout:
     def test_tables_land_in_digest_prefix_subdirs(self, tmp_path):
-        from repro.core.store import SHARD_PREFIX_LEN
-
         store = ScheduleStore(tmp_path)
         store.get([1, 5], 16, "crseq")
         digest = key_digest(store_key([1, 5], 16, "crseq"))
@@ -227,25 +235,6 @@ class TestShardedLayout:
         assert (shard / f"{digest}.json").exists()
         assert not (tmp_path / f"{digest}.npy").exists()
         assert [m["digest"] for m in store.entries()] == [digest]
-
-    def test_legacy_flat_layout_still_attaches(self, tmp_path):
-        # Pre-shard stores kept <digest>.npy flat in the root; the read
-        # path must keep serving them without a rebuild.
-        store = ScheduleStore(tmp_path)
-        built = store.get([1, 5], 16, "crseq")
-        digest = key_digest(store_key([1, 5], 16, "crseq"))
-        shard = tmp_path / digest[:2]
-        for suffix in (".npy", ".json"):
-            (shard / f"{digest}{suffix}").rename(tmp_path / f"{digest}{suffix}")
-        shard.rmdir()
-        fresh = ScheduleStore(tmp_path)
-        assert fresh.contains([1, 5], 16, "crseq")
-        attached = fresh.get([1, 5], 16, "crseq")
-        assert (fresh.builds, fresh.attaches) == (0, 1)
-        assert np.array_equal(attached.period_table(), built.period_table())
-        assert [m["digest"] for m in fresh.entries()] == [digest]
-        assert fresh.evict(digest)
-        assert not fresh.contains([1, 5], 16, "crseq")
 
     def test_read_roots_attach_without_building(self, tmp_path):
         warm = ScheduleStore(tmp_path / "warm")

@@ -481,8 +481,8 @@ class _FailingSink(stream_module.SweepCheckpoint):
     exactly the way SIGTERM-during-save would leave the file system:
     last complete snapshot on disk, scan unfinished)."""
 
-    def __init__(self, path, fail_after, interval_blocks=1):
-        super().__init__(path, interval_blocks=interval_blocks)
+    def __init__(self, path, fail_after):
+        super().__init__(path)
         self.fail_after = fail_after
 
     def save(self, state):
@@ -637,9 +637,7 @@ class TestCheckpointResume:
         sample = list(shifts)[::30]
         assert {s: after[s] for s in sample} == _scalar(*second, sample, horizon)
 
-    def test_sink_validation_and_clear(self, tmp_path):
-        with pytest.raises(ValueError, match="interval_blocks"):
-            stream_module.SweepCheckpoint(tmp_path / "c.json", interval_blocks=0)
+    def test_sink_save_load_and_clear(self, tmp_path):
         sink = stream_module.SweepCheckpoint(tmp_path / "c.json")
         assert sink.load() is None
         sink.save({"spec": "x"})

@@ -711,4 +711,6 @@ class TestTelemetryFlag:
         tree = json.loads(lines[-1])
         counters = tree["telemetry"]["counters"]
         assert counters["netsim.chunks"] >= 1
-        assert "netsim.assemble" in tree["telemetry"]["spans"]
+        spans = tree["telemetry"]["spans"]
+        assert "netsim.assemble" not in spans
+        assert "netsim.assemble" in spans["netsim.simulate"]["children"]

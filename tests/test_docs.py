@@ -140,7 +140,7 @@ class TestDocsExist:
             "PYTHONHASHSEED",
             "final stdout line",
             "Thread lanes overlap",
-            "Netsim spans are flat",
+            "netsim.simulate",
             "test_telemetry_overhead",
             "TUNING.md",
             "sweep.kernel",
