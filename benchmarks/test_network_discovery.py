@@ -12,7 +12,7 @@ things are recorded to ``results/network_discovery.txt`` /
 * **the scaling curve** — per population size: cohort count, number of
   overlapping agent pairs, time-to-full-discovery slot, slots actually
   simulated (early stop), and wall-clock seconds;
-* **the tentpole gate** — the 10k-agent run (~50M overlapping pairs)
+* **the tentpole gate** — the 10k-agent run (~30.9M overlapping pairs)
   must fully discover and complete within ``MAX_10K_SECONDS``.
 
 Why this scales: agents sharing (schedule, wake, leave) collapse into

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
+import numpy as np
+
 from repro.core.pairwise import (
     async_period,
     pair_schedule_async,
@@ -131,6 +133,23 @@ class EpochSchedule(Schedule):
         r, offset = divmod(t, self.epoch_length)
         i, j = self._epoch_indices(r)
         return self._epoch_schedule(i, j).channel_at(offset)
+
+    def _compute_period_array(self) -> np.ndarray:
+        """One period, epoch by epoch: each epoch is its pair schedule's
+        period table cycled to ``epoch_length``, one array op per
+        distinct epoch pair."""
+        p, q = self.prime_pair
+        epochs: dict[Schedule, np.ndarray] = {}
+        parts = []
+        for r in range(p * q):
+            schedule = self._epoch_schedule(*self._epoch_indices(r))
+            epoch = epochs.get(schedule)
+            if epoch is None:
+                epoch = epochs[schedule] = np.resize(
+                    schedule.period_table(), self.epoch_length
+                )
+            parts.append(epoch)
+        return np.concatenate(parts)
 
 
 def rendezvous_bound(a: EpochSchedule, b: EpochSchedule) -> int:

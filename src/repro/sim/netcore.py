@@ -14,17 +14,22 @@ as numpy columns instead:
   agent-pair results expand combinatorially afterwards (10k agents
   sharing a few hundred distinct schedules pay for each row — and each
   period table, including store memmaps — exactly once).
-* **Chunked channel matrix.**  Time advances in chunks; each chunk
-  assembles an ``(active cohorts, chunk)`` channel matrix with one
-  :meth:`~repro.core.schedule.Schedule.channel_gather` call per distinct
-  schedule — the same bulk hook the streaming verification engine tiles
-  with, so store-backed schedules answer from their shared memmap.
-* **Bucketed rendezvous detection.**  Per slot, the channel column is
-  bucketed by channel value (a counting sort): only channels holding at
-  least two cohorts can produce a rendezvous, and candidate cohort pairs
-  are filtered against a pending matrix — *first-meet retirement* —
-  so no pair is ever reported twice and the simulation retires as soon
-  as every overlapping pair has met.
+* **Slot-major channel matrix.**  Time advances in chunks, and each
+  chunk in time blocks that start at 256 slots and double up to the
+  chunk width.  A block assembles a ``(slots, active cohorts)`` matrix
+  of dense channel ids with one
+  :meth:`~repro.core.schedule.Schedule.channel_gather` call per
+  distinct schedule — the same bulk hook the sweep kernel tiles with,
+  so store-backed schedules answer from their shared memmap — and an
+  early stop ends assembly too.
+* **Bitset rendezvous detection.**  Pending cohort pairs are a packed
+  ``uint64`` bitset, one row per cohort holding each pair once (in its
+  lower cohort's row).  Per slot every cohort's pending row is ANDed
+  with the member bitset of the channel it sits on: that one AND finds
+  every new meeting on every channel, and clearing the hit bits
+  retires the pairs — *first-meet retirement* — so no pair is ever
+  reported twice and the simulation retires as soon as every
+  overlapping pair has met.
 * **Event wheel.**  Wake (join) and leave (churn) events live in a
   time-chunked :class:`EventWheel`; each chunk pops only its own bucket,
   so maintaining the active-cohort set costs ``O(events)`` over the
@@ -48,7 +53,7 @@ import numpy as np
 from repro.core import telemetry
 from repro.core.environment import Environment
 from repro.core.schedule import Schedule
-from repro.sim.agent import ASLEEP, Agent
+from repro.sim.agent import Agent
 from repro.sim.metrics import DiscoveryProfile
 
 __all__ = [
@@ -62,7 +67,8 @@ __all__ = [
     "LEAVE",
 ]
 
-#: Default time-chunk length (slots) for channel-matrix assembly.
+#: Default time-chunk length (slots): event-wheel granularity and the
+#: widest time block of channel-matrix assembly.
 DEFAULT_CHUNK = 4096
 
 #: Sentinel departure slot for cohorts that never leave.
@@ -143,6 +149,9 @@ class Population:
             raise ValueError("channel values must be nonnegative")
         #: One past the largest channel value any schedule visits.
         self.num_channels = (max(channels) + 1) if channels else 0
+        #: The distinct channel values, ascending; a value's index here
+        #: is its dense channel id.
+        self.channel_values = np.array(sorted(channels), dtype=np.int64)
 
     @property
     def num_cohorts(self) -> int:
@@ -232,15 +241,7 @@ class Population:
         matmul) and expanded to cohorts by indexing, so the cost scales
         with distinct schedules rather than cohorts.
         """
-        values = sorted(
-            {c for schedule in self.schedules for c in schedule.channels}
-        )
-        column = {c: i for i, c in enumerate(values)}
-        membership = np.zeros((len(self.schedules), len(values)))
-        for g, schedule in enumerate(self.schedules):
-            for c in schedule.channels:
-                membership[g, column[c]] = 1.0
-        overlap = (membership @ membership.T) > 0
+        overlap = _schedule_overlap(_schedule_membership(self))
         return overlap[self.cohort_schedule][:, self.cohort_schedule]
 
 
@@ -344,35 +345,216 @@ class NetResult:
                     yield int(a), int(b), int(t), int(ch)
 
 
-def _assemble_rows(
+#: Width (slots) of a run's first time block; each later block doubles,
+#: up to the chunk width.
+_FIRST_BLOCK = 256
+
+#: Most (slot, cohort) cells one contention ``bincount`` covers.
+_CONTENTION_CELLS = 1 << 18
+
+
+def _schedule_membership(population: Population) -> np.ndarray:
+    """Boolean (schedule, dense channel id) matrix: who visits what."""
+    values = population.channel_values
+    membership = np.zeros((len(population.schedules), values.size), dtype=bool)
+    for g, schedule in enumerate(population.schedules):
+        membership[g, np.searchsorted(values, sorted(schedule.channels))] = True
+    return membership
+
+
+def _schedule_overlap(membership: np.ndarray) -> np.ndarray:
+    """Boolean (schedule, schedule) matrix: do the channel sets intersect?"""
+    weights = membership.astype(np.float64)
+    return (weights @ weights.T) > 0
+
+
+def _bits(cohorts: np.ndarray) -> np.ndarray:
+    """Each cohort's bit in word ``cohort >> 6`` of a packed cohort bitset."""
+    return np.left_shift(np.uint64(1), (cohorts & 63).astype(np.uint64))
+
+
+def _set_bits(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(index into words, bit)`` of every set bit, in ascending order.
+
+    Only the nonzero bytes are unpacked: hit words are sparse, about two
+    bits each.  Bit ``b`` of a little-endian word is bit ``b % 8`` of
+    its byte ``b // 8``.
+    """
+    octets = words.astype("<u8", copy=False).view(np.uint8)
+    nonzero = np.flatnonzero(octets)
+    found = np.flatnonzero(np.unpackbits(octets[nonzero], bitorder="little"))
+    position = (nonzero[found >> 3] << 3) + (found & 7)
+    return position >> 6, position & 63
+
+
+def _member_bits(
+    channel: np.ndarray, cohort: np.ndarray, num_channels: int, words: int
+) -> np.ndarray:
+    """``(channels, words)`` bitsets: row ``d`` holds every cohort listed
+    with channel id ``d``.  The ``(channel, cohort)`` pairs must be
+    distinct: distinct cohorts own distinct bits, so adding them ORs
+    them."""
+    members = np.zeros((num_channels, words), dtype=np.uint64)
+    np.add.at(members, (channel, cohort >> 6), _bits(cohort))
+    return members
+
+
+def _pending_pairs(
+    population: Population, membership: np.ndarray, alive: np.ndarray
+) -> np.ndarray:
+    """Packed ``(cohorts, words)`` bitset of the cohort pairs yet to meet.
+
+    Bit ``j`` of row ``i`` (word ``j >> 6``, bit ``j & 63``) is set iff
+    ``i < j``, both cohorts are alive and their channel sets intersect,
+    so each pair is held once, in its lower cohort's row.  Built from
+    one bitset per channel, OR-ed per distinct schedule: no
+    ``(cohort, cohort)`` matrix is materialized.
+    """
+    num_cohorts = population.num_cohorts
+    words = (num_cohorts + 63) >> 6
+    cohort, channel = np.nonzero(
+        membership[population.cohort_schedule] & alive[:, None]
+    )
+    on_channel = _member_bits(channel, cohort, membership.shape[1], words)
+    # Every schedule visits at least one channel, so no segment is empty.
+    schedule, channel = np.nonzero(membership)
+    starts = np.searchsorted(schedule, np.arange(membership.shape[0]))
+    by_schedule = np.bitwise_or.reduceat(on_channel[channel], starts, axis=0)
+    pending = by_schedule[population.cohort_schedule]
+    pending[~alive] = 0
+    index = np.arange(num_cohorts)
+    pending[np.arange(words)[None, :] < (index >> 6)[:, None]] = 0
+    below = (_bits(index) << np.uint64(1)) - np.uint64(1)
+    pending[index, index >> 6] &= ~below
+    return pending
+
+
+def _assemble_block(
     population: Population,
     rows_idx: np.ndarray,
     start: int,
     stop: int,
 ) -> np.ndarray:
-    """Channel matrix for cohorts ``rows_idx`` over ``[start, stop)``.
+    """Slot-major dense channel ids of cohorts ``rows_idx`` over ``[start, stop)``.
 
-    One :meth:`~repro.core.schedule.Schedule.channel_gather` call per
-    distinct schedule covers every cohort row sharing it; pre-wake and
-    post-leave slots come back as :data:`~repro.sim.agent.ASLEEP`.
+    Returns a ``(stop - start, rows)`` matrix of indices into
+    ``population.channel_values``; pre-wake and post-leave cells hold
+    the asleep id ``channel_values.size``.  One
+    :meth:`~repro.core.schedule.Schedule.channel_gather` call per
+    distinct schedule covers every cohort row sharing it.
     """
-    width = stop - start
-    rows = np.full((rows_idx.size, width), ASLEEP, dtype=np.int64)
-    offsets = np.arange(start, stop, dtype=np.int64)
+    values = population.channel_values
+    asleep = values.size
+    dense = np.full((stop - start, rows_idx.size), asleep, dtype=np.int64)
+    offsets = np.arange(start, stop, dtype=np.int64)[:, None]
     scheds = population.cohort_schedule[rows_idx]
     for g in np.unique(scheds):
         telemetry.count("netsim.gather_calls")
         sel = np.nonzero(scheds == g)[0]
         cohorts = rows_idx[sel]
-        local = offsets[None, :] - population.cohort_wake[cohorts, None]
-        valid = (local >= 0) & (
-            offsets[None, :] < population.cohort_leave[cohorts, None]
-        )
+        local = offsets - population.cohort_wake[cohorts]
+        valid = (local >= 0) & (offsets < population.cohort_leave[cohorts])
         gathered = population.schedules[g].channel_gather(
             np.where(valid, local, 0)
         )
-        rows[sel] = np.where(valid, gathered, ASLEEP)
-    return rows
+        dense[:, sel] = np.where(
+            valid, np.searchsorted(values, gathered), asleep
+        )
+    return dense
+
+
+def _scan_block(
+    dense: np.ndarray,
+    rows_idx: np.ndarray,
+    num_values: int,
+    pending: np.ndarray,
+    remaining: int,
+    valid: np.ndarray | None,
+    early_stop: bool,
+    start: int,
+) -> tuple[int, int, list[tuple[np.ndarray, ...]]]:
+    """First meetings in one block: ``(slots scanned, remaining, events)``.
+
+    ``dense`` is the block's ``(slots, rows)`` channel-id matrix from
+    :func:`_assemble_block` (``num_values`` is its asleep id) and
+    ``valid``, when given, its ``(slots, channels)`` fault mask.  Each
+    slot ANDs every row's pending bits with the member bitset of the
+    channel the row sits on — empty for the asleep id and for channels
+    the mask rejects — so one AND finds the slot's meetings on every
+    channel, and their bits are cleared from ``pending``.  Events come
+    out as ``(i, j, slot, dense channel)`` arrays, in (channel, i, j)
+    order within a slot.  With ``early_stop`` the scan ends at the slot
+    the last pending pair meets.
+    """
+    slots = dense.shape[0]
+    words = pending.shape[1]
+    rows_pending = pending[rows_idx]
+    flat_pending = rows_pending.reshape(-1)
+    events: list[tuple[np.ndarray, ...]] = []
+    scanned = slots
+    for s in range(slots):
+        column = dense[s]
+        members = _member_bits(column, rows_idx, num_values + 1, words)
+        members[num_values] = 0
+        if valid is not None:
+            members[:num_values][~valid[s]] = 0
+        hits = rows_pending & members[column]
+        flat = np.flatnonzero(hits)
+        if not flat.size:
+            continue
+        found = hits.reshape(-1)[flat]
+        flat_pending[flat] ^= found
+        row, word = np.divmod(flat, words)
+        k, bit = _set_bits(found)
+        row = row[k]
+        channel = column[row]
+        # Hits come out sorted by (i, j); a stable sort by channel gives
+        # the (channel, i, j) event order.
+        order = np.argsort(channel, kind="stable")
+        first = rows_idx[row[order]]
+        events.append(
+            (
+                first,
+                ((word[k] << 6) + bit)[order],
+                np.full(first.size, start + s, dtype=np.int64),
+                channel[order],
+            )
+        )
+        remaining -= first.size
+        if remaining == 0:
+            if early_stop:
+                scanned = s + 1
+            break
+    pending[rows_idx] = rows_pending
+    return scanned, remaining, events
+
+
+def _contention(
+    dense: np.ndarray, sizes_rows: np.ndarray, num_values: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-channel ``(contended slots, co-located agent pairs)`` over ``dense``.
+
+    A ``bincount`` over (slot, channel id) weighs each awake row by its
+    cohort size; the asleep id's column is dropped.  It runs over
+    pieces of at most ``_CONTENTION_CELLS`` cells, so its key and weight
+    temporaries stay small next to ``dense`` itself.
+    """
+    slots, rows = dense.shape
+    step = max(1, _CONTENTION_CELLS // max(rows, 1))
+    agents_on = np.empty((slots, num_values + 1), dtype=np.int64)
+    for lo in range(0, slots, step):
+        piece = dense[lo : lo + step]
+        key = np.arange(piece.shape[0])[:, None] * (num_values + 1) + piece
+        agents_on[lo : lo + step] = np.bincount(
+            key.reshape(-1),
+            weights=np.broadcast_to(sizes_rows, key.shape).reshape(-1),
+            minlength=key.shape[0] * (num_values + 1),
+        ).reshape(-1, num_values + 1)
+    agents_on = agents_on[:, :num_values]
+    return (
+        np.count_nonzero(agents_on >= 2, axis=0),
+        np.sum(agents_on * (agents_on - 1) // 2, axis=0),
+    )
 
 
 def _first_valid_meet(
@@ -406,6 +588,8 @@ def _first_valid_meet(
     return None
 
 
+
+
 def simulate_population(
     population: Population,
     horizon: int,
@@ -415,18 +599,22 @@ def simulate_population(
 ) -> NetResult:
     """Simulate ``horizon`` slots over the whole population, vectorized.
 
-    Per chunk: pop the event wheel to update the active-cohort set,
-    assemble the ``(active cohorts, chunk)`` channel matrix, then bucket
-    each slot's channel column — cohort pairs sharing a bucket and still
-    pending are recorded (first-meet retirement) and per-channel
-    contention counters accumulate.  With ``early_stop`` (the default)
-    the scan retires at the slot the last pending pair meets;
+    Per chunk: pop the event wheel to update the active-cohort set, then
+    walk the chunk in time blocks (256 slots first, doubling up to the
+    chunk width).  Each block assembles a slot-major
+    ``(slots, active cohorts)`` matrix of dense channel ids; each slot
+    ANDs every cohort's pending-pair bitset with the member bitset of
+    its channel, records the hits as first meetings and retires them
+    (first-meet retirement).  One ``bincount`` over (slot, channel) per
+    block accumulates the per-channel contention counters over exactly
+    the slots scanned.  With ``early_stop`` (the default) the scan —
+    and assembly — retires at the slot the last pending pair meets;
     ``early_stop=False`` scans the full horizon so contention metrics
     cover every slot.
 
     With an ``environment``
-    (:class:`~repro.core.environment.Environment`), each chunk also
-    evaluates the fault mask over its ``(channel, global slot)`` grid
+    (:class:`~repro.core.environment.Environment`), each block also
+    evaluates the fault mask over its ``(global slot, channel)`` grid
     and a coincidence only counts as a meeting on a validated cell —
     the *same* mask generator the sweep engines apply, here on the
     global simulation clock (the sweep engines index it by slots since
@@ -447,24 +635,30 @@ def simulate_population(
         raise ValueError(f"chunk must be positive, got {chunk}")
     sizes = population.cohort_size
     num_cohorts = population.num_cohorts
-    overlap = population.schedule_overlap()
-    np.fill_diagonal(overlap, False)
+    values = population.channel_values
+    num_values = values.size
+    membership = _schedule_membership(population)
     # The reference counts every channel-set-sharing pair as
-    # overlapping, whether or not it ever wakes; weight cohort pairs by
-    # member counts and add each cohort's internal pairs.
-    cross = overlap @ sizes.astype(np.float64)
-    overlapping_pairs = int(round(float(sizes @ cross) / 2))
-    overlapping_pairs += int(np.sum(sizes * (sizes - 1) // 2))
+    # overlapping, whether or not it ever wakes.  Over the agent counts
+    # per schedule, S @ overlap @ S counts each overlapping pair twice
+    # and each agent once with itself.
+    per_schedule = np.bincount(
+        population.cohort_schedule,
+        weights=sizes,
+        minlength=len(population.schedules),
+    ).astype(np.int64)
+    overlap = _schedule_overlap(membership).astype(np.int64)
+    overlapping_pairs = (
+        int(per_schedule @ overlap @ per_schedule) - int(per_schedule.sum())
+    ) // 2
 
     # A cohort participates only if it is awake before both the horizon
     # and its own departure.
     alive = (population.cohort_wake < horizon) & (
         population.cohort_wake < population.cohort_leave
     )
-    pending = overlap
-    pending[~alive, :] = False
-    pending[:, ~alive] = False
-    remaining = int(np.count_nonzero(np.triu(pending, 1)))
+    pending = _pending_pairs(population, membership, alive)
+    remaining = int(np.bitwise_count(pending).sum())
 
     # Intra-cohort pairs share one behaviour: clean, they meet the slot
     # the cohort wakes, on the schedule's first channel; under an
@@ -505,17 +699,14 @@ def simulate_population(
         if population.cohort_leave[c] < horizon:
             wheel.push(int(population.cohort_leave[c]), LEAVE, int(c))
 
-    num_channels = population.num_channels
-    contended_slots = np.zeros(num_channels, dtype=np.int64)
-    pair_colocations = np.zeros(num_channels, dtype=np.int64)
-    ev_i: list[np.ndarray] = []
-    ev_j: list[np.ndarray] = []
-    ev_t: list[np.ndarray] = []
-    ev_c: list[np.ndarray] = []
+    contended_slots = np.zeros(num_values, dtype=np.int64)
+    pair_colocations = np.zeros(num_values, dtype=np.int64)
+    events: list[tuple[np.ndarray, ...]] = []
 
     active = np.zeros(num_cohorts, dtype=bool)
     slots_simulated = 0
     done = early_stop and remaining == 0
+    width = min(_FIRST_BLOCK, chunk)
     with telemetry.span("netsim.simulate"):
         for start in range(0, horizon, chunk):
             if done:
@@ -535,82 +726,71 @@ def simulate_population(
                 continue
             telemetry.count("netsim.chunks")
             telemetry.count("netsim.cohort_rows", int(rows_idx.size))
-            with telemetry.span("netsim.assemble") as assemble_span:
-                rows = _assemble_rows(population, rows_idx, start, stop)
-                assemble_span.add_bytes(rows.nbytes)
             sizes_rows = sizes[rows_idx]
-            valid_chunk = None
-            if environment is not None and num_channels:
-                # One (channel, slot) validity grid per chunk, shared by
-                # every bucket below — the identical mask generator the
-                # sweep engines tile with.
-                with telemetry.span("netsim.mask"):
-                    valid_chunk = np.broadcast_to(
-                        environment.slot_mask(
-                            np.arange(num_channels, dtype=np.int64)[:, None],
-                            np.arange(start, stop, dtype=np.int64)[None, :],
-                        ),
-                        (num_channels, stop - start),
+            block_start = start
+            while block_start < stop and not done:
+                block_stop = min(block_start + width, stop)
+                width = min(2 * width, chunk)
+                with telemetry.span("netsim.assemble") as assemble_span:
+                    dense = _assemble_block(
+                        population, rows_idx, block_start, block_stop
                     )
-            with telemetry.span("netsim.scan"):
-                for s in range(stop - start):
-                    column = rows[:, s]
-                    awake = column >= 0
-                    slots_simulated = start + s + 1
-                    if not awake.any():
-                        continue
-                    values = column[awake]
-                    agents_on = np.bincount(
-                        values, weights=sizes_rows[awake], minlength=num_channels
-                    ).astype(np.int64)
-                    crowded = agents_on >= 2
-                    contended_slots += crowded
-                    pair_colocations += np.where(
-                        crowded, agents_on * (agents_on - 1) // 2, 0
-                    )
+                    assemble_span.add_bytes(dense.nbytes)
+                valid = None
+                if environment is not None and remaining:
+                    # One (slot, channel) validity grid per block — the
+                    # identical mask generator the sweep engines tile with.
+                    with telemetry.span("netsim.mask"):
+                        slots = np.arange(block_start, block_stop, dtype=np.int64)
+                        valid = np.broadcast_to(
+                            environment.slot_mask(values[None, :], slots[:, None]),
+                            (slots.size, num_values),
+                        )
+                with telemetry.span("netsim.scan"):
+                    scanned = block_stop - block_start
                     if remaining:
-                        counts = np.bincount(values, minlength=num_channels)
-                        for channel in np.nonzero(counts >= 2)[0]:
-                            if valid_chunk is not None and not valid_chunk[channel, s]:
-                                continue
-                            bucket = rows_idx[awake & (column == channel)]
-                            sub = pending[np.ix_(bucket, bucket)]
-                            if not sub.any():
-                                continue
-                            ii, jj = np.nonzero(np.triu(sub, 1))
-                            first, second = bucket[ii], bucket[jj]
-                            ev_i.append(first)
-                            ev_j.append(second)
-                            ev_t.append(
-                                np.full(first.size, start + s, dtype=np.int64)
-                            )
-                            ev_c.append(
-                                np.full(first.size, channel, dtype=np.int64)
-                            )
-                            pending[first, second] = False
-                            pending[second, first] = False
-                            remaining -= first.size
-                    if early_stop and remaining == 0:
-                        done = True
-                        break
+                        scanned, remaining, found = _scan_block(
+                            dense,
+                            rows_idx,
+                            num_values,
+                            pending,
+                            remaining,
+                            valid,
+                            early_stop,
+                            block_start,
+                        )
+                        events += found
+                    busy, pairs = _contention(
+                        dense[:scanned], sizes_rows, num_values
+                    )
+                    contended_slots += busy
+                    pair_colocations += pairs
+                slots_simulated = block_start + scanned
+                done = early_stop and remaining == 0
+                block_start = block_stop
             for cohort in leaves:
                 active[cohort] = False
 
-    def _concat(parts: list[np.ndarray]) -> np.ndarray:
-        return (
-            np.concatenate(parts)
-            if parts
-            else np.empty(0, dtype=np.int64)
+    if events:
+        event_i, event_j, event_time, event_channel = (
+            np.concatenate(column) for column in zip(*events)
         )
-
+    else:
+        event_i, event_j, event_time, event_channel = (
+            np.empty(0, dtype=np.int64) for _ in range(4)
+        )
+    # Counters were kept per dense channel id; the public arrays are
+    # indexed by channel value.
+    per_value = np.zeros((2, population.num_channels), dtype=np.int64)
+    per_value[:, values] = contended_slots, pair_colocations
     return NetResult(
         population,
         horizon,
         slots_simulated,
-        (_concat(ev_i), _concat(ev_j), _concat(ev_t), _concat(ev_c)),
+        (event_i, event_j, event_time, values[event_channel]),
         (intra_cohort, intra_time, intra_channel),
-        contended_slots,
-        pair_colocations,
+        per_value[0],
+        per_value[1],
         overlapping_pairs,
         unmet_cohort_pairs=remaining,
     )

@@ -13,7 +13,7 @@ bit-identical events:
   kept deliberately simple (it only skips agents with no pending pair).
 * ``engine="vectorized"`` — the network-scale core
   (:mod:`repro.sim.netcore`): the whole population stepped as numpy
-  cohort columns with bucketed per-slot detection, built for thousands
+  cohort columns with bitset per-slot detection, built for thousands
   of agents.
 * ``engine="auto"`` — pairwise below
   :data:`AUTO_VECTORIZE_MIN_AGENTS` agents, vectorized from there up.

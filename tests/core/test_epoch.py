@@ -171,3 +171,27 @@ class TestRendezvousBound:
         a = EpochSchedule([0, 1], n)
         b = EpochSchedule([1, 2], n)
         assert rendezvous_bound(a, b) > 0
+
+
+class TestPeriodTable:
+    """The per-epoch period table equals the scalar ``channel_at`` loop."""
+
+    @pytest.mark.parametrize("asynchronous", [True, False], ids=["async", "sync"])
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 12, 16, 33, 64, 128, 256])
+    def test_matches_channel_at(self, n, asynchronous):
+        rng = random.Random(n)
+        for k in range(1, min(n, 9) + 1):
+            s = EpochSchedule(
+                rng.sample(range(n), k), n, asynchronous=asynchronous
+            )
+            expected = [s.channel_at(t) for t in range(s.period)]
+            assert s.period_table().tolist() == expected
+
+    @pytest.mark.parametrize("asynchronous", [True, False], ids=["async", "sync"])
+    @pytest.mark.parametrize("pair", [(3, 5), (3, 7), (7, 5)])
+    def test_explicit_prime_pair(self, pair, asynchronous):
+        s = EpochSchedule(
+            [1, 4, 6], 32, prime_pair=pair, asynchronous=asynchronous
+        )
+        expected = [s.channel_at(t) for t in range(s.period)]
+        assert s.period_table().tolist() == expected

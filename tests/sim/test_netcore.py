@@ -10,13 +10,16 @@ same pattern certifies the sweep kernel against the scalar
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
 import repro
+from repro.core.environment import FadingMisses, PrimaryUserChurn
 from repro.core.schedule import ConstantSchedule, CyclicSchedule
 from repro.sim import workloads
-from repro.sim.agent import Agent
+from repro.sim.agent import ASLEEP, Agent
 from repro.sim.netcore import (
     LEAVE,
     LEAVE_NEVER,
@@ -24,6 +27,7 @@ from repro.sim.netcore import (
     EventWheel,
     NetResult,
     Population,
+    _first_valid_meet,
     simulate_population,
 )
 from repro.sim.network import Network
@@ -414,3 +418,281 @@ class TestNetResult:
             simulate_population(population, 0)
         with pytest.raises(ValueError, match="chunk"):
             simulate_population(population, 10, chunk=0)
+
+
+def _reference_simulate(population, horizon, chunk, early_stop, environment):
+    """The per-slot, per-channel bucket scan the bitset scan replaced.
+
+    Pending pairs are a ``(cohorts, cohorts)`` bool matrix; each chunk
+    assembles a row-major ``(active cohorts, chunk)`` channel matrix,
+    and each slot buckets its column by raw channel value and gathers
+    every crowded bucket's pending submatrix.  Returns the
+    :class:`NetResult` fields the scan produces.
+    """
+    sizes = population.cohort_size
+    overlap = population.schedule_overlap()
+    np.fill_diagonal(overlap, False)
+    alive = (population.cohort_wake < horizon) & (
+        population.cohort_wake < population.cohort_leave
+    )
+    pending = overlap
+    pending[~alive, :] = False
+    pending[:, ~alive] = False
+    remaining = int(np.count_nonzero(np.triu(pending, 1)))
+
+    intra_cohort = np.nonzero(alive & (sizes >= 2))[0]
+    if environment is None:
+        intra_time = population.cohort_wake[intra_cohort]
+        intra_channel = np.array(
+            [
+                population.schedules[g].channel_at(0)
+                for g in population.cohort_schedule[intra_cohort]
+            ],
+            dtype=np.int64,
+        )
+    else:
+        kept, times, channels_out = [], [], []
+        for c in intra_cohort:
+            meet = _first_valid_meet(
+                population.schedules[population.cohort_schedule[c]],
+                int(population.cohort_wake[c]),
+                int(population.cohort_leave[c]),
+                horizon,
+                chunk,
+                environment,
+            )
+            if meet is not None:
+                kept.append(c)
+                times.append(meet[0])
+                channels_out.append(meet[1])
+        intra_cohort = np.array(kept, dtype=np.int64)
+        intra_time = np.array(times, dtype=np.int64)
+        intra_channel = np.array(channels_out, dtype=np.int64)
+
+    wheel = EventWheel(chunk)
+    for c in np.nonzero(alive)[0]:
+        wheel.push(int(population.cohort_wake[c]), WAKE, int(c))
+        if population.cohort_leave[c] < horizon:
+            wheel.push(int(population.cohort_leave[c]), LEAVE, int(c))
+
+    num_channels = population.num_channels
+    contended_slots = np.zeros(num_channels, dtype=np.int64)
+    pair_colocations = np.zeros(num_channels, dtype=np.int64)
+    ev_i, ev_j, ev_t, ev_c = [], [], [], []
+    active = np.zeros(population.num_cohorts, dtype=bool)
+    slots_simulated = 0
+    done = early_stop and remaining == 0
+    for start in range(0, horizon, chunk):
+        if done:
+            break
+        stop = min(start + chunk, horizon)
+        leaves = []
+        for _, kind, cohort in wheel.pop(start // chunk):
+            if kind == WAKE:
+                active[cohort] = True
+            else:
+                leaves.append(cohort)
+        rows_idx = np.nonzero(active)[0]
+        if rows_idx.size == 0:
+            slots_simulated = stop
+            for cohort in leaves:
+                active[cohort] = False
+            continue
+        offsets = np.arange(start, stop, dtype=np.int64)
+        rows = np.full((rows_idx.size, stop - start), ASLEEP, dtype=np.int64)
+        for r, c in enumerate(rows_idx):
+            local = offsets - population.cohort_wake[c]
+            valid = (local >= 0) & (offsets < population.cohort_leave[c])
+            schedule = population.schedules[population.cohort_schedule[c]]
+            gathered = schedule.channel_gather(np.where(valid, local, 0))
+            rows[r] = np.where(valid, gathered, ASLEEP)
+        sizes_rows = sizes[rows_idx]
+        valid_chunk = None
+        if environment is not None and num_channels:
+            valid_chunk = np.broadcast_to(
+                environment.slot_mask(
+                    np.arange(num_channels, dtype=np.int64)[:, None],
+                    offsets[None, :],
+                ),
+                (num_channels, stop - start),
+            )
+        for s in range(stop - start):
+            column = rows[:, s]
+            awake = column >= 0
+            slots_simulated = start + s + 1
+            if not awake.any():
+                continue
+            values = column[awake]
+            agents_on = np.bincount(
+                values, weights=sizes_rows[awake], minlength=num_channels
+            ).astype(np.int64)
+            crowded = agents_on >= 2
+            contended_slots += crowded
+            pair_colocations += np.where(
+                crowded, agents_on * (agents_on - 1) // 2, 0
+            )
+            if remaining:
+                counts = np.bincount(values, minlength=num_channels)
+                for channel in np.nonzero(counts >= 2)[0]:
+                    if valid_chunk is not None and not valid_chunk[channel, s]:
+                        continue
+                    bucket = rows_idx[awake & (column == channel)]
+                    sub = pending[np.ix_(bucket, bucket)]
+                    if not sub.any():
+                        continue
+                    ii, jj = np.nonzero(np.triu(sub, 1))
+                    first, second = bucket[ii], bucket[jj]
+                    ev_i.append(first)
+                    ev_j.append(second)
+                    ev_t.append(np.full(first.size, start + s, dtype=np.int64))
+                    ev_c.append(np.full(first.size, channel, dtype=np.int64))
+                    pending[first, second] = False
+                    pending[second, first] = False
+                    remaining -= first.size
+            if early_stop and remaining == 0:
+                done = True
+                break
+        for cohort in leaves:
+            active[cohort] = False
+
+    def concat(parts):
+        return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+
+    return {
+        "event_i": concat(ev_i),
+        "event_j": concat(ev_j),
+        "event_time": concat(ev_t),
+        "event_channel": concat(ev_c),
+        "intra_cohort": intra_cohort,
+        "intra_time": intra_time,
+        "intra_channel": intra_channel,
+        "contended_slots": contended_slots,
+        "pair_colocations": pair_colocations,
+        "slots_simulated": slots_simulated,
+        "unmet_cohort_pairs": remaining,
+    }
+
+
+def _churned_population(num_agents, seed, algorithm):
+    """Seeded population over 40 wake slots; a third of the agents leave
+    1-300 slots after waking, mostly inside a chunk."""
+    instance = workloads.random_subsets(12, 3, num_agents, seed=seed)
+    rng = np.random.default_rng(seed)
+    wakes = rng.integers(0, 40, size=num_agents)
+    leaves = np.where(
+        rng.random(num_agents) < 0.3,
+        wakes + 1 + rng.integers(0, 300, size=num_agents),
+        -1,
+    )
+    agents = build_agents(
+        instance,
+        12,
+        wake=lambda i: int(wakes[i]),
+        leave=lambda i: int(leaves[i]) if leaves[i] >= 0 else None,
+        algorithm=algorithm,
+    )
+    return Population.from_agents(agents)
+
+
+REFERENCE_ENVIRONMENTS = {
+    "clean": None,
+    "fading": FadingMisses(0.2, seed=3),
+    "pu-churn": PrimaryUserChurn(0.3, seed=4, dwell=64),
+}
+
+# (agents, algorithm, chunk, environment, early_stop); every population
+# spans at least three 64-cohort bitset words.
+REFERENCE_CASES = [
+    (150, "paper", 97, "clean", False),
+    (300, "crseq", 513, "fading", False),
+    (700, "paper", 4096, "pu-churn", False),
+    (700, "jump-stay", 97, "clean", True),
+    (150, "paper", 513, "pu-churn", True),
+    (300, "paper", 4096, "fading", True),
+]
+
+
+class TestReferenceScan:
+    """The bitset scan against the bucket scan it replaced, whole
+    :class:`NetResult` at a time, across bitset word boundaries."""
+
+    @pytest.mark.parametrize(
+        "agents,algorithm,chunk,env,early_stop",
+        REFERENCE_CASES,
+        ids=[
+            f"{agents}-{algorithm}-chunk{chunk}-{env}-{'stop' if stop else 'full'}"
+            for agents, algorithm, chunk, env, stop in REFERENCE_CASES
+        ],
+    )
+    def test_matches_bucket_scan(self, agents, algorithm, chunk, env, early_stop):
+        population = _churned_population(agents, agents + chunk, algorithm)
+        assert population.num_cohorts > 128
+        assert (population.cohort_leave != LEAVE_NEVER).any()
+        environment = REFERENCE_ENVIRONMENTS[env]
+        horizon = 1500
+        net = simulate_population(
+            population,
+            horizon,
+            chunk=chunk,
+            early_stop=early_stop,
+            environment=environment,
+        )
+        expected = _reference_simulate(
+            population, horizon, chunk, early_stop, environment
+        )
+        assert expected["event_i"].size > 0
+        for field, value in expected.items():
+            got = getattr(net, field)
+            if isinstance(value, np.ndarray):
+                assert got.dtype == value.dtype, field
+                np.testing.assert_array_equal(got, value, err_msg=field)
+            else:
+                assert got == value, field
+
+    def test_pairwise_parity_across_words(self):
+        """150 agents over 16 wake slots: more than two bitset words of
+        cohorts, certified against the pairwise reference."""
+        instance = workloads.random_subsets(12, 3, 150, seed=21)
+        agents = build_agents(instance, 12, wake=lambda i: (7 * i) % 16)
+        assert Population.from_agents(agents).num_cohorts >= 130
+        assert_engines_agree(agents, 20_000)
+
+
+class TestChannelValues:
+    def test_scan_cost_ignores_the_largest_channel_value(self):
+        """Two-agent cohorts alone on channels 3 and 5_000_003 for 2,000
+        slots: every slot contends both channels with one pair each.
+        Channels are indexed densely, so the huge value costs one final
+        scatter, not a per-slot pass over five million counters."""
+        low, high = ConstantSchedule(3), ConstantSchedule(5_000_003)
+        agents = [Agent("a", low), Agent("b", low), Agent("c", high), Agent("d", high)]
+        started = time.perf_counter()
+        net = simulate_population(
+            Population.from_agents(agents), 2_000, early_stop=False
+        )
+        assert time.perf_counter() - started < 10
+        assert net.slots_simulated == 2_000
+        assert net.contended_slots.size == 5_000_004
+        for channel in (3, 5_000_003):
+            assert net.contended_slots[channel] == 2_000
+            assert net.pair_colocations[channel] == 2_000
+        assert net.contended_slots.sum() == net.pair_colocations.sum() == 4_000
+
+    def test_masked_meetings_on_huge_channel_values(self):
+        """A hopper between the two channels meets both cohorts under a
+        fault mask, identically on both engines."""
+        low, high = ConstantSchedule(3), ConstantSchedule(5_000_003)
+        hopper = CyclicSchedule([3, 5_000_003])
+        agents = [
+            Agent("a", low),
+            Agent("b", low, wake_time=5),
+            Agent("c", high, wake_time=2),
+            Agent("d", hopper, wake_time=1),
+        ]
+        reference = assert_engines_agree(
+            agents, 2_000, environment=PrimaryUserChurn(0.5, seed=1, dwell=4)
+        )
+        assert {event.channel for event in reference.events.values()} == {
+            3,
+            5_000_003,
+        }
