@@ -54,14 +54,12 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from repro.baselines.projection import project_onto_available
+from repro.baselines.projection import ProjectedSchedule
 from repro.core.primes import smallest_prime_greater_than
-from repro.core.schedule import Schedule
 
 __all__ = [
     "AsyncETCHSchedule",
     "asyncetch_global_channel",
-    "asyncetch_global_block",
     "asyncetch_global_values",
     "asyncetch_period",
 ]
@@ -91,9 +89,8 @@ def asyncetch_global_values(t: np.ndarray, prime: int) -> np.ndarray:
     """Global AsyncETCH channels at an arbitrary array of slot indices.
 
     The closed form of :func:`asyncetch_global_channel` evaluated
-    elementwise over any index array.  Shared by
-    :func:`asyncetch_global_block` (contiguous windows) and
-    :meth:`AsyncETCHSchedule.channel_gather` (scattered tile rows).
+    elementwise over any index array — contiguous windows and
+    scattered tile rows alike.
     """
     t = np.asarray(t, dtype=np.int64) % asyncetch_period(prime)
     frame, offset = np.divmod(t, 2 * prime + 2)
@@ -104,54 +101,18 @@ def asyncetch_global_values(t: np.ndarray, prime: int) -> np.ndarray:
     return np.where(offset == 0, 0, out)
 
 
-def asyncetch_global_block(start: int, stop: int, prime: int) -> np.ndarray:
-    """Global AsyncETCH channels for slots ``start .. stop-1``, vectorized.
-
-    The closed form of :func:`asyncetch_global_channel` over a whole
-    window — the chunk source for the sweep kernel's tiles.
-    """
-    if stop < start:
-        raise ValueError(f"empty window: start={start}, stop={stop}")
-    return asyncetch_global_values(np.arange(start, stop, dtype=np.int64), prime)
-
-
-class AsyncETCHSchedule(Schedule):
+class AsyncETCHSchedule(ProjectedSchedule):
     """AsyncETCH global sequence projected onto an agent's available set."""
 
     def __init__(self, channels: Iterable[int], n: int):
-        ordered = sorted(set(int(c) for c in channels))
-        if not ordered:
-            raise ValueError("channel set must be nonempty")
-        if ordered[0] < 0 or ordered[-1] >= n:
-            raise ValueError(f"channels {ordered} outside universe [0, {n})")
-        self.n = n
+        super().__init__(channels, n)
         self.prime = smallest_prime_greater_than(n)
-        self.sorted_channels = tuple(ordered)
-        self.channels = frozenset(ordered)
         self.period = asyncetch_period(self.prime)
 
-    def channel_at(self, t: int) -> int:
-        """Channel at slot ``t``: the global sequence, projected."""
-        c = asyncetch_global_channel(t % self.period, self.prime)
-        c %= self.n
-        if c in self.channels:
-            return c
-        k = len(self.sorted_channels)
-        return self.sorted_channels[c % k]
+    def global_channel(self, t: int) -> int:
+        """:func:`asyncetch_global_channel` at slot ``t``, remapped mod ``n``."""
+        return asyncetch_global_channel(t, self.prime) % self.n
 
-    def channel_block(self, start: int, stop: int) -> np.ndarray:
-        """Vectorized window: closed-form global channels, projected."""
-        raw = asyncetch_global_block(start, stop, self.prime) % self.n
-        return project_onto_available(raw, self.sorted_channels)
-
-    def channel_gather(self, indices: np.ndarray) -> np.ndarray:
-        """Vectorized scattered access: closed-form channels, projected.
-
-        One closed-form evaluation plus one projection pass for a whole
-        streaming tile of scattered rows.
-        """
-        raw = asyncetch_global_values(indices, self.prime) % self.n
-        return project_onto_available(raw, self.sorted_channels)
-
-    def _compute_period_array(self) -> np.ndarray:
-        return self.channel_block(0, self.period)
+    def global_values(self, indices: np.ndarray) -> np.ndarray:
+        """:func:`asyncetch_global_values` over ``indices``, remapped mod ``n``."""
+        return asyncetch_global_values(indices, self.prime) % self.n

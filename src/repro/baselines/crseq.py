@@ -26,14 +26,12 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from repro.baselines.projection import project_onto_available
+from repro.baselines.projection import ProjectedSchedule
 from repro.core.primes import smallest_prime_at_least
-from repro.core.schedule import Schedule
 
 __all__ = [
     "CRSEQSchedule",
     "crseq_global_channel",
-    "crseq_global_block",
     "crseq_global_values",
 ]
 
@@ -55,9 +53,8 @@ def crseq_global_values(t: np.ndarray, prime: int) -> np.ndarray:
     """Global CRSEQ channels at an arbitrary array of slot indices.
 
     The closed form of :func:`crseq_global_channel` evaluated
-    elementwise over any index array.  Shared by
-    :func:`crseq_global_block` (contiguous windows) and
-    :meth:`CRSEQSchedule.channel_gather` (scattered tile rows).
+    elementwise over any index array — contiguous windows and
+    scattered tile rows alike.
     """
     t = np.asarray(t, dtype=np.int64) % (3 * prime * prime)
     subsequence, offset = np.divmod(t, 3 * prime)
@@ -65,53 +62,18 @@ def crseq_global_values(t: np.ndarray, prime: int) -> np.ndarray:
     return np.where(offset < 2 * prime, (triangular + offset) % prime, subsequence)
 
 
-def crseq_global_block(start: int, stop: int, prime: int) -> np.ndarray:
-    """Global CRSEQ channels for slots ``start .. stop-1``, vectorized.
-
-    The closed form of :func:`crseq_global_channel` over a whole window
-    — the chunk source for the sweep kernel's tiles.
-    """
-    if stop < start:
-        raise ValueError(f"empty window: start={start}, stop={stop}")
-    return crseq_global_values(np.arange(start, stop, dtype=np.int64), prime)
-
-
-class CRSEQSchedule(Schedule):
+class CRSEQSchedule(ProjectedSchedule):
     """CRSEQ projected onto an agent's available channel set."""
 
     def __init__(self, channels: Iterable[int], n: int):
-        ordered = sorted(set(int(c) for c in channels))
-        if not ordered:
-            raise ValueError("channel set must be nonempty")
-        if ordered[0] < 0 or ordered[-1] >= n:
-            raise ValueError(f"channels {ordered} outside universe [0, {n})")
-        self.n = n
+        super().__init__(channels, n)
         self.prime = smallest_prime_at_least(n)
-        self.sorted_channels = tuple(ordered)
-        self.channels = frozenset(ordered)
         self.period = 3 * self.prime * self.prime
 
-    def channel_at(self, t: int) -> int:
-        """Channel at slot ``t``: the global sequence, projected."""
-        c = crseq_global_channel(t, self.prime)
-        if c in self.channels:
-            return c
-        k = len(self.sorted_channels)
-        return self.sorted_channels[c % k]
+    def global_channel(self, t: int) -> int:
+        """:func:`crseq_global_channel` at slot ``t``."""
+        return crseq_global_channel(t, self.prime)
 
-    def channel_block(self, start: int, stop: int) -> np.ndarray:
-        """Vectorized window: closed-form global channels, projected."""
-        raw = crseq_global_block(start, stop, self.prime)
-        return project_onto_available(raw, self.sorted_channels)
-
-    def channel_gather(self, indices: np.ndarray) -> np.ndarray:
-        """Vectorized scattered access: closed-form channels, projected.
-
-        One closed-form evaluation plus one projection pass for a whole
-        streaming tile of scattered rows.
-        """
-        raw = crseq_global_values(indices, self.prime)
-        return project_onto_available(raw, self.sorted_channels)
-
-    def _compute_period_array(self) -> np.ndarray:
-        return self.channel_block(0, self.period)
+    def global_values(self, indices: np.ndarray) -> np.ndarray:
+        """:func:`crseq_global_values` over ``indices``."""
+        return crseq_global_values(indices, self.prime)

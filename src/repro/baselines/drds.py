@@ -50,8 +50,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from repro.baselines.projection import project_onto_available
-from repro.core.schedule import Schedule
+from repro.baselines.projection import ProjectedSchedule, project_onto_available
 
 __all__ = [
     "DRDSSchedule",
@@ -206,7 +205,7 @@ def build_global_sequence(n: int, verify: bool | None = None) -> np.ndarray:
     return sequence
 
 
-class DRDSSchedule(Schedule):
+class DRDSSchedule(ProjectedSchedule):
     """DRDS global sequence projected onto an agent's available set.
 
     ``global_sequence`` optionally supplies the global sequence as an
@@ -223,14 +222,7 @@ class DRDSSchedule(Schedule):
         n: int,
         global_sequence: np.ndarray | None = None,
     ):
-        ordered = sorted(set(int(c) for c in channels))
-        if not ordered:
-            raise ValueError("channel set must be nonempty")
-        if ordered[0] < 0 or ordered[-1] >= n:
-            raise ValueError(f"channels {ordered} outside universe [0, {n})")
-        self.n = n
-        self.sorted_channels = tuple(ordered)
-        self.channels = frozenset(ordered)
+        super().__init__(channels, n)
         if global_sequence is None:
             global_sequence = build_global_sequence(n)
         elif len(global_sequence) != sequence_period(n):
@@ -241,35 +233,22 @@ class DRDSSchedule(Schedule):
         self._global = global_sequence
         self.period = len(self._global)
 
-    def channel_at(self, t: int) -> int:
-        """Channel at slot ``t``: the global sequence, projected."""
-        c = int(self._global[t % self.period])
-        if c in self.channels:
-            return c
-        k = len(self.sorted_channels)
-        return self.sorted_channels[c % k]
+    def global_channel(self, t: int) -> int:
+        """The channel that owns slot ``t`` of the global sequence."""
+        return int(self._global[t])
+
+    def global_values(self, indices: np.ndarray) -> np.ndarray:
+        """One fancy index into the (possibly memmapped) global array."""
+        indices = np.asarray(indices, dtype=np.int64)
+        return np.asarray(self._global)[indices % self.period]
 
     def channel_block(self, start: int, stop: int) -> np.ndarray:
-        """Vectorized window: one gather from the global sequence,
-        projected — no per-slot Python dispatch, and no per-set table
-        when the window feeds the sweep kernel."""
-        if stop < start:
-            raise ValueError(f"empty window: start={start}, stop={stop}")
+        """A window that does not wrap is one slice of the global
+        sequence, projected: no index array, so a period table costs
+        one pass over the (possibly memmapped) sequence.  Wrapping
+        windows take the gather."""
         lo = start % self.period
-        if lo + (stop - start) <= self.period:
+        if start <= stop and lo + (stop - start) <= self.period:
             raw = self._global[lo : lo + (stop - start)]
-        else:
-            indices = np.arange(start, stop, dtype=np.int64) % self.period
-            raw = self._global[indices]
-        return project_onto_available(raw, self.sorted_channels)
-
-    def channel_gather(self, indices: np.ndarray) -> np.ndarray:
-        """Vectorized scattered access: one global-sequence gather,
-        projected — a whole streaming tile of scattered rows costs one
-        fancy index into the (possibly memmapped) global array."""
-        indices = np.asarray(indices, dtype=np.int64)
-        raw = np.asarray(self._global)[indices % self.period]
-        return project_onto_available(raw, self.sorted_channels)
-
-    def _compute_period_array(self) -> np.ndarray:
-        return self.channel_block(0, self.period)
+            return project_onto_available(raw, self.sorted_channels)
+        return super().channel_block(start, stop)

@@ -25,14 +25,12 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from repro.baselines.projection import project_onto_available
+from repro.baselines.projection import ProjectedSchedule
 from repro.core.primes import smallest_prime_greater_than
-from repro.core.schedule import Schedule
 
 __all__ = [
     "JumpStaySchedule",
     "jump_stay_global_channel",
-    "jump_stay_global_block",
     "jump_stay_global_values",
 ]
 
@@ -54,9 +52,10 @@ def jump_stay_global_values(t: np.ndarray, prime: int) -> np.ndarray:
 
     The closed form of :func:`jump_stay_global_channel` evaluated
     elementwise over any index array (the construction is naturally
-    periodic, so raw slot indices need no reduction).  Shared by
-    :func:`jump_stay_global_block` (contiguous windows) and
-    :meth:`JumpStaySchedule.channel_gather` (scattered tile rows).
+    periodic, so raw slot indices need no reduction) — the sweep
+    kernel generates its tiles from this, so Jump-Stay's cubic period
+    never needs to be materialized, even past ``n = 128``, where it
+    exceeds the schedule cache limit.
     """
     t = np.asarray(t, dtype=np.int64)
     round_index, offset = np.divmod(t, 3 * prime)
@@ -66,60 +65,18 @@ def jump_stay_global_values(t: np.ndarray, prime: int) -> np.ndarray:
     return np.where(offset < 2 * prime, jump, step)
 
 
-def jump_stay_global_block(start: int, stop: int, prime: int) -> np.ndarray:
-    """Global Jump-Stay channels for slots ``start .. stop-1``, vectorized.
-
-    The closed form of :func:`jump_stay_global_channel` over a whole
-    window — the sweep kernel generates its tiles from this, so
-    Jump-Stay's cubic period never needs to be materialized.
-    """
-    if stop < start:
-        raise ValueError(f"empty window: start={start}, stop={stop}")
-    return jump_stay_global_values(np.arange(start, stop, dtype=np.int64), prime)
-
-
-class JumpStaySchedule(Schedule):
+class JumpStaySchedule(ProjectedSchedule):
     """Jump-Stay projected onto an agent's available channel set."""
 
     def __init__(self, channels: Iterable[int], n: int):
-        ordered = sorted(set(int(c) for c in channels))
-        if not ordered:
-            raise ValueError("channel set must be nonempty")
-        if ordered[0] < 0 or ordered[-1] >= n:
-            raise ValueError(f"channels {ordered} outside universe [0, {n})")
-        self.n = n
+        super().__init__(channels, n)
         self.prime = smallest_prime_greater_than(n)
-        self.sorted_channels = tuple(ordered)
-        self.channels = frozenset(ordered)
         self.period = 3 * self.prime * self.prime * (self.prime - 1)
 
-    def channel_at(self, t: int) -> int:
-        """Channel at slot ``t``: the global sequence, projected."""
-        c = jump_stay_global_channel(t % self.period, self.prime)
-        c %= self.n
-        if c in self.channels:
-            return c
-        k = len(self.sorted_channels)
-        return self.sorted_channels[c % k]
+    def global_channel(self, t: int) -> int:
+        """:func:`jump_stay_global_channel` at slot ``t``, remapped mod ``n``."""
+        return jump_stay_global_channel(t, self.prime) % self.n
 
-    def channel_block(self, start: int, stop: int) -> np.ndarray:
-        """Vectorized window: closed-form global channels, projected.
-
-        This is what keeps Jump-Stay sweepable past ``n = 128``, where
-        its cubic period exceeds the schedule cache limit.
-        """
-        raw = jump_stay_global_block(start, stop, self.prime) % self.n
-        return project_onto_available(raw, self.sorted_channels)
-
-    def channel_gather(self, indices: np.ndarray) -> np.ndarray:
-        """Vectorized scattered access: closed-form channels, projected.
-
-        A whole ``(shift row, time)`` tile of the sweep kernel costs
-        one closed-form evaluation and one projection pass, instead of
-        one ``channel_block`` call (and one ``np.isin``) per row.
-        """
-        raw = jump_stay_global_values(indices, self.prime) % self.n
-        return project_onto_available(raw, self.sorted_channels)
-
-    def _compute_period_array(self) -> np.ndarray:
-        return self.channel_block(0, self.period)
+    def global_values(self, indices: np.ndarray) -> np.ndarray:
+        """:func:`jump_stay_global_values` over ``indices``, remapped mod ``n``."""
+        return jump_stay_global_values(indices, self.prime) % self.n

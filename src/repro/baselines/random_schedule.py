@@ -18,7 +18,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from repro.core.schedule import Schedule
+from repro.core.schedule import Schedule, validated_channels
 
 __all__ = ["RandomSchedule"]
 
@@ -33,16 +33,12 @@ class RandomSchedule(Schedule):
         seed: int = 0,
         tape_length: int = 1 << 18,
     ):
-        ordered = sorted(set(int(c) for c in channels))
-        if not ordered:
-            raise ValueError("channel set must be nonempty")
-        if ordered[0] < 0 or ordered[-1] >= n:
-            raise ValueError(f"channels {ordered} outside universe [0, {n})")
+        ordered = validated_channels(channels, n)
         if tape_length <= 0:
             raise ValueError("tape_length must be positive")
         self.n = n
         self.seed = seed
-        self.sorted_channels = tuple(ordered)
+        self.sorted_channels = ordered
         self.channels = frozenset(ordered)
         rng = np.random.default_rng(seed)
         picks = rng.integers(0, len(ordered), size=tape_length)

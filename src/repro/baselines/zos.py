@@ -65,7 +65,7 @@ from collections.abc import Iterable
 import numpy as np
 
 from repro.core.primes import smallest_prime_greater_than
-from repro.core.schedule import Schedule
+from repro.core.schedule import Schedule, validated_channels
 
 __all__ = ["ZOSSchedule", "collision_free_modulus", "zos_period"]
 
@@ -83,7 +83,7 @@ def collision_free_modulus(channels: Iterable[int]) -> int:
     """
     ordered = sorted(set(int(c) for c in channels))
     if not ordered:
-        raise ValueError("channel set must be nonempty")
+        raise ValueError("a collision-free modulus needs at least one channel")
     p = smallest_prime_greater_than(len(ordered))
     while len({c % p for c in ordered}) < len(ordered):
         p = smallest_prime_greater_than(p)
@@ -100,13 +100,9 @@ class ZOSSchedule(Schedule):
     """Z/O/S subsequence schedule keyed to the agent's available set."""
 
     def __init__(self, channels: Iterable[int], n: int):
-        ordered = sorted(set(int(c) for c in channels))
-        if not ordered:
-            raise ValueError("channel set must be nonempty")
-        if ordered[0] < 0 or ordered[-1] >= n:
-            raise ValueError(f"channels {ordered} outside universe [0, {n})")
+        ordered = validated_channels(channels, n)
         self.n = n
-        self.sorted_channels = tuple(ordered)
+        self.sorted_channels = ordered
         self.channels = frozenset(ordered)
         m = len(ordered)
         self.prime = p = collision_free_modulus(ordered)
@@ -138,22 +134,13 @@ class ZOSSchedule(Schedule):
             return int(self._residue_channel[x])
         return int(self._stay_channel[rate - 1])  # S-subsequence
 
-    def channel_block(self, start: int, stop: int) -> np.ndarray:
-        """Vectorized window: the Z/O/S anatomy evaluated in closed form.
-
-        Lets the sweep kernel sweep ZOS at set sizes whose
-        ``Theta(m^3)`` period exceeds the schedule cache limit.
-        """
-        if stop < start:
-            raise ValueError(f"empty window: start={start}, stop={stop}")
-        return self.channel_gather(np.arange(start, stop, dtype=np.int64))
-
     def channel_gather(self, indices: np.ndarray) -> np.ndarray:
         """Vectorized scattered access: the Z/O/S anatomy, elementwise.
 
-        The same closed form as :meth:`channel_block`, over any index
-        array — one evaluation for a whole streaming tile of scattered
-        rows.
+        One closed-form evaluation for a whole streaming tile of
+        scattered rows; it also lets the sweep kernel sweep ZOS at set
+        sizes whose ``Theta(m^3)`` period exceeds the schedule cache
+        limit.
         """
         p = self.prime
         t = np.asarray(indices, dtype=np.int64) % self.period
@@ -174,8 +161,8 @@ class ZOSSchedule(Schedule):
         Assembles the ``(round, slot)`` matrix in one shot: the Z and S
         columns broadcast from per-round scalars, the O columns gather
         from the residue lookup — no per-slot Python dispatch, so a
-        period table (for the schedule store or the generic chunk
-        fallbacks) takes milliseconds even at the ``Theta(m^3)`` period.
+        period table (for the schedule store) takes milliseconds even
+        at the ``Theta(m^3)`` period.
         """
         p = self.prime
         rounds = p * (p - 1)

@@ -38,21 +38,13 @@ from repro.beacon.minwise import (
     seed_bits_needed,
 )
 from repro.beacon.source import BeaconSource
+from repro.core.schedule import validated_channels
 
 __all__ = [
     "SimpleBeaconProtocol",
     "AmplifiedBeaconProtocol",
     "beacon_first_meeting",
 ]
-
-
-def _normalize_channels(channels: Iterable[int], n: int) -> tuple[int, ...]:
-    ordered = sorted(set(int(c) for c in channels))
-    if not ordered:
-        raise ValueError("channel set must be nonempty")
-    if ordered[0] < 0 or ordered[-1] >= n:
-        raise ValueError(f"channels {ordered} outside universe [0, {n})")
-    return tuple(ordered)
 
 
 class SimpleBeaconProtocol:
@@ -65,7 +57,7 @@ class SimpleBeaconProtocol:
         beacon: BeaconSource,
         degree: int = DEFAULT_DEGREE,
     ):
-        self.sorted_channels = _normalize_channels(channels, n)
+        self.sorted_channels = validated_channels(channels, n)
         self.channels = frozenset(self.sorted_channels)
         self.n = n
         self.beacon = beacon
@@ -108,7 +100,7 @@ class AmplifiedBeaconProtocol:
         beacon: BeaconSource,
         degree: int = DEFAULT_DEGREE,
     ):
-        self.sorted_channels = _normalize_channels(channels, n)
+        self.sorted_channels = validated_channels(channels, n)
         self.channels = frozenset(self.sorted_channels)
         self.n = n
         self.beacon = beacon

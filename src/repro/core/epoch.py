@@ -24,6 +24,7 @@ Chinese Remainder Theorem yields an epoch ``r <= p*q`` with
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable
 
 import numpy as np
@@ -35,9 +36,29 @@ from repro.core.pairwise import (
     sync_period,
 )
 from repro.core.primes import two_primes_for_set_size
-from repro.core.schedule import ConstantSchedule, Schedule
+from repro.core.schedule import ConstantSchedule, Schedule, validated_channels
 
 __all__ = ["EpochSchedule", "rendezvous_bound"]
+
+
+@functools.lru_cache(maxsize=4096)
+def _pair_schedule(low: int, high: int, n: int, asynchronous: bool) -> Schedule:
+    """The epoch schedule of channels ``low <= high``, built once per process.
+
+    Every :class:`EpochSchedule` of a population shares these: a
+    constant schedule when ``low == high``, else the Theorem 1 pair
+    string.  4,096 entries hold every pair of 90 channels.  The shared
+    period table is made read-only, so no holder can change another's
+    epochs.
+    """
+    if low == high:
+        built: Schedule = ConstantSchedule(low)
+    elif asynchronous:
+        built = pair_schedule_async(low, high, n)
+    else:
+        built = pair_schedule_sync(low, high, n)
+    built.period_table().setflags(write=False)
+    return built
 
 
 class EpochSchedule(Schedule):
@@ -65,16 +86,11 @@ class EpochSchedule(Schedule):
         asynchronous: bool = True,
         prime_pair: tuple[int, int] | None = None,
     ):
-        ordered = sorted(set(int(c) for c in channels))
-        if not ordered:
-            raise ValueError("channel set must be nonempty")
-        if ordered[0] < 0 or ordered[-1] >= n:
-            raise ValueError(f"channels {ordered} outside universe [0, {n})")
         self.n = n
-        self.sorted_channels = tuple(ordered)
-        self.channels = frozenset(ordered)
+        self.sorted_channels = validated_channels(channels, n)
+        self.channels = frozenset(self.sorted_channels)
         self.asynchronous = asynchronous
-        self.k = len(ordered)
+        self.k = len(self.sorted_channels)
         if prime_pair is None:
             prime_pair = two_primes_for_set_size(self.k)
         else:
@@ -85,7 +101,6 @@ class EpochSchedule(Schedule):
         self.epoch_length = 2 * base if asynchronous else base
         p, q = self.prime_pair
         self.period = self.epoch_length * p * q
-        self._epoch_cache: dict[tuple[int, int], Schedule] = {}
 
     def _validated_prime_pair(self, pair: tuple[int, int]) -> tuple[int, int]:
         from repro.core.primes import is_prime
@@ -112,19 +127,8 @@ class EpochSchedule(Schedule):
         return i, j
 
     def _epoch_schedule(self, i: int, j: int) -> Schedule:
-        key = (i, j) if i <= j else (j, i)
-        cached = self._epoch_cache.get(key)
-        if cached is not None:
-            return cached
-        a, b = self.sorted_channels[key[0]], self.sorted_channels[key[1]]
-        if a == b:
-            built: Schedule = ConstantSchedule(a)
-        elif self.asynchronous:
-            built = pair_schedule_async(a, b, self.n)
-        else:
-            built = pair_schedule_sync(a, b, self.n)
-        self._epoch_cache[key] = built
-        return built
+        a, b = self.sorted_channels[min(i, j)], self.sorted_channels[max(i, j)]
+        return _pair_schedule(a, b, self.n, self.asynchronous)
 
     def channel_at(self, t: int) -> int:
         """Channel at slot ``t``: epoch ``r = t div epoch_length``'s pair string."""

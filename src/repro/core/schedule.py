@@ -11,23 +11,24 @@ eventually cyclic, so the base class carries a ``period`` and supports
 vectorized materialization into numpy arrays — the verification engine
 and the simulator compare schedules as arrays rather than slot by slot.
 
-The bulk hooks are :meth:`Schedule.period_table` — one full period as a
-shared read-only array, cached up to ``_CACHE_LIMIT`` slots —
-:meth:`Schedule.channel_block` — an arbitrary slot window **without**
-materializing the period, which is what lets the sweep kernel
-(:mod:`repro.core.stream`) sweep schedules whose period is too large to
-table — and :meth:`Schedule.channel_gather` — channels at an arbitrary
-*array* of slot indices in one vectorized call, which is how the kernel
-assembles a whole ``(shift, time)`` tile of scattered rows without
-per-row Python dispatch.  Adding a new algorithm only requires
-``channel_at`` plus (optionally) a vectorized
-``_compute_period_array``, ``channel_block``, and/or
-``channel_gather``; the kernel certifies it through those hooks.
+The bulk hooks are :meth:`Schedule.channel_gather` — channels at an
+arbitrary *array* of slot indices in one vectorized call, which is how
+the sweep kernel (:mod:`repro.core.stream`) assembles a whole
+``(shift, time)`` tile of scattered rows without per-row Python
+dispatch — its contiguous case :meth:`Schedule.channel_block`, a slot
+window **without** materializing the period (what lets the kernel
+sweep schedules whose period is too large to table), and
+:meth:`Schedule.period_table`, one full period as a shared read-only
+array, cached up to ``_CACHE_LIMIT`` slots.  Adding a new algorithm
+only requires ``channel_at`` plus (optionally) a vectorized
+``channel_gather`` and ``_compute_period_array``; the kernel certifies
+it through those hooks.  :func:`validated_channels` is the one
+channel-set check every constructor shares.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -36,9 +37,25 @@ __all__ = [
     "CyclicSchedule",
     "ConstantSchedule",
     "FunctionSchedule",
+    "validated_channels",
 ]
 
 _CACHE_LIMIT = 1 << 22  # largest period array worth caching (slots)
+
+
+def validated_channels(channels: Iterable[int], n: int) -> tuple[int, ...]:
+    """An agent's channel set as a sorted tuple of distinct ints in ``[0, n)``.
+
+    The channel-set check every schedule constructor shares: duplicates
+    collapse, and an empty set or a channel outside the universe raises
+    ``ValueError``.
+    """
+    ordered = sorted(set(int(c) for c in channels))
+    if not ordered:
+        raise ValueError("channel set must be nonempty")
+    if ordered[0] < 0 or ordered[-1] >= n:
+        raise ValueError(f"channels {ordered} outside universe [0, {n})")
+    return tuple(ordered)
 
 
 class Schedule:
@@ -75,36 +92,26 @@ class Schedule:
         period, so it stays usable on schedules whose period exceeds
         the table limit (Jump-Stay's cubic period at large ``n``).
 
-        The generic fallback indexes the cached period array modularly
-        for moderate periods and evaluates ``channel_at`` slot by slot
-        for huge ones; subclasses with closed-form sequences override
-        it with a vectorized window computation.
+        It is :meth:`channel_gather` over ``np.arange(start, stop)``;
+        only schedules whose window is a slice of a stored table
+        override it.
         """
         if stop < start:
             raise ValueError(f"empty window: start={start}, stop={stop}")
-        if self.period > _CACHE_LIMIT and (stop - start) < self.period:
-            return np.fromiter(
-                (self.channel_at(t) for t in range(start, stop)),
-                dtype=np.int64,
-                count=stop - start,
-            )
-        period_array = self._period_array()
-        indices = np.arange(start, stop, dtype=np.int64) % self.period
-        return period_array[indices]
+        return self.channel_gather(np.arange(start, stop, dtype=np.int64))
 
     def channel_gather(self, indices: np.ndarray) -> np.ndarray:
         """Channels at an arbitrary array of slot indices, shape-preserving.
 
-        The scattered-access sibling of :meth:`channel_block`: where a
-        block is one contiguous window, a gather answers any index
-        array (typically the 2-D ``(shift row, time)`` matrix of one
-        kernel tile — see :mod:`repro.core.stream`) in a single
-        vectorized call.  The generic fallback indexes the cached
-        period array modularly for moderate periods and evaluates
-        ``channel_at`` per element for huge ones; subclasses with
-        closed-form sequences override it so a whole tile of scattered
-        rows costs one array expression instead of one Python call per
-        row.
+        It answers any index array (typically the 2-D ``(shift row,
+        time)`` matrix of one kernel tile — see
+        :mod:`repro.core.stream`) in a single vectorized call;
+        :meth:`channel_block` is its contiguous case.  The generic
+        fallback indexes the cached period array modularly for moderate
+        periods and evaluates ``channel_at`` per element for huge ones;
+        subclasses with closed-form sequences override it so a whole
+        tile of scattered rows costs one array expression instead of
+        one Python call per row.
         """
         indices = np.asarray(indices, dtype=np.int64)
         if self.period > _CACHE_LIMIT and indices.size < self.period:
@@ -121,11 +128,11 @@ class Schedule:
         """One full period of the schedule as a shared int64 array.
 
         The bulk-materialization hook behind the generic
-        ``channel_block`` / ``channel_gather`` fallbacks and the
-        schedule store: the table is computed once per schedule (and
-        cached for periods up to ``_CACHE_LIMIT``), after which any
-        window of the infinite schedule is a view/tile of it.  Callers
-        must treat the returned array as read-only.
+        ``channel_gather`` fallback and the schedule store: the table
+        is computed once per schedule (and cached for periods up to
+        ``_CACHE_LIMIT``), after which any window of the infinite
+        schedule is a view/tile of it.  Callers must treat the returned
+        array as read-only.
         """
         return self._period_array()
 
@@ -203,12 +210,6 @@ class ConstantSchedule(Schedule):
     def has_warm_table(self) -> bool:
         """Always ``True``: a one-slot table costs nothing to produce."""
         return True
-
-    def channel_block(self, start: int, stop: int) -> np.ndarray:
-        """The constant channel, broadcast over the window."""
-        if stop < start:
-            raise ValueError(f"empty window: start={start}, stop={stop}")
-        return np.full(stop - start, self._channel, dtype=np.int64)
 
     def channel_gather(self, indices: np.ndarray) -> np.ndarray:
         """The constant channel, broadcast over the index array."""

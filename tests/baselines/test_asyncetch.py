@@ -10,8 +10,8 @@ import pytest
 
 from repro.baselines.asyncetch import (
     AsyncETCHSchedule,
-    asyncetch_global_block,
     asyncetch_global_channel,
+    asyncetch_global_values,
     asyncetch_period,
 )
 from repro.core.stream import ttr_sweep
@@ -60,7 +60,7 @@ class TestGlobalSequence:
         p = 11
         period = asyncetch_period(p)
         for lo, hi in [(0, 200), (period - 50, period + 75), (1234, 1234)]:
-            block = asyncetch_global_block(lo, hi, p)
+            block = asyncetch_global_values(np.arange(lo, hi), p)
             scalar = [asyncetch_global_channel(t % period, p) for t in range(lo, hi)]
             assert block.tolist() == scalar
 

@@ -7,9 +7,11 @@ import random
 
 import pytest
 
+from repro.core import epoch as epoch_module
 from repro.core.epoch import EpochSchedule, rendezvous_bound
-from repro.core.pairwise import async_period, sync_period
+from repro.core.pairwise import async_period, pair_schedule_async, sync_period
 from repro.core.verification import ttr_for_shift, verify_guarantee
+from repro.sim.workloads import random_subsets
 
 
 def _overlapping_sets(rng: random.Random, n: int, ka: int, kb: int):
@@ -195,3 +197,36 @@ class TestPeriodTable:
         )
         expected = [s.channel_at(t) for t in range(s.period)]
         assert s.period_table().tolist() == expected
+
+
+class TestSharedPairSchedules:
+    """Each epoch's pair schedule is built once per process and shared."""
+
+    def test_schedules_sharing_a_pair_share_its_object(self):
+        a = EpochSchedule([2, 9], 32)
+        b = EpochSchedule([2, 5, 9], 32)
+        shared = a._epoch_schedule(0, 1)
+        assert b._epoch_schedule(0, 2) is shared
+        assert b._epoch_schedule(2, 0) is shared
+        assert not shared.period_table().flags.writeable
+        # Constant epochs (i == j) are shared too.
+        assert a._epoch_schedule(0, 0) is b._epoch_schedule(0, 0)
+
+    def test_population_builds_each_pair_once(self, monkeypatch):
+        builds = []
+
+        def counting(a, b, n):
+            builds.append((a, b, n))
+            return pair_schedule_async(a, b, n)
+
+        monkeypatch.setattr(epoch_module, "pair_schedule_async", counting)
+        epoch_module._pair_schedule.cache_clear()
+        counts = []
+        for seed in (0, 1):
+            sets = set(random_subsets(12, 3, 2000, seed=seed).sets)
+            for channels in sets:
+                EpochSchedule(channels, 12).period_table()
+            counts.append(len(builds))
+        # 2,000 agents draw all 220 three-subsets of 12 channels, whose
+        # epochs use all 66 channel pairs; the next network reuses them.
+        assert counts == [66, 66]

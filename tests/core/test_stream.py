@@ -9,12 +9,14 @@ shifts, degenerate horizons, and tiles smaller than one period.
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 import repro
+from repro.baselines import BASELINE_NAMES
 from repro.core import stream as stream_module
 from repro.core import telemetry
 from repro.core.schedule import _CACHE_LIMIT, CyclicSchedule, FunctionSchedule
@@ -377,22 +379,53 @@ class TestParallelScan:
         assert {s: one_lane[s] for s in sample} == _scalar(a, b, sample, horizon)
 
 
+#: sha256 of ``period_table()`` for the set {1, 5, 9}: an edit to a
+#: closed form fails here instead of silently moving every result.
+_PINNED_TABLE_DIGESTS = {
+    ("crseq", 16): "1117fedb793e380f0b1e2cb8b70f66c8a961423f939d9b3ef7a54dcd49b2d3cb",
+    ("crseq", 33): "9a6afaae893d57818eebbd7dc91ec928d9aca433dc994f62da6d784d4b501bf1",
+    ("jump-stay", 16): "82743f68757c83ccfeba063c241d36919c1b0810fa7c40aa53977d04704cc072",
+    ("jump-stay", 33): "24fb00194156c2a4c19855de70a699c91687bc999d084da8c45c79f47c24f821",
+    ("async-etch", 16): "a88972adbc47492e77b8dd449bbdaad6789f9688a97297d21bed6ca24c5e7aba",
+    ("async-etch", 33): "b675ab664c7c7de3c35425263aea909d604e5b56fdc843f1e6c4c183c2089aa5",
+}
+
+
 class TestChannelGather:
-    """The scattered-access hook every tile row assembly builds on."""
+    """One row-source contract for every algorithm the CLI accepts:
+    ``channel_gather``, ``channel_block`` and ``period_table`` all answer
+    what the scalar ``channel_at`` answers."""
 
     @pytest.mark.parametrize(
-        "algorithm", ["paper", "crseq", "jump-stay", "drds", "zos", "async-etch"]
+        "algorithm", ("paper", "paper-sync", "paper-symmetric") + BASELINE_NAMES
     )
     def test_gather_matches_channel_at(self, algorithm):
-        schedule = repro.build_schedule([1, 5, 9], 16, algorithm=algorithm)
-        indices = np.array([[0, 7, 1], [13, 2, schedule.period + 5]], dtype=np.int64)
-        gathered = schedule.channel_gather(indices)
-        assert gathered.shape == indices.shape
-        expected = [
-            [schedule.channel_at(int(t) % schedule.period) for t in row]
-            for row in indices
-        ]
-        assert gathered.tolist() == expected
+        for n in (16, 33):
+            schedule = repro.build_schedule([1, 5, 9], n, algorithm=algorithm)
+            period = schedule.period
+            indices = np.array([[0, 7, 1], [13, 2, period + 5]], dtype=np.int64)
+            gathered = schedule.channel_gather(indices)
+            assert gathered.shape == indices.shape
+            expected = [
+                [schedule.channel_at(int(t) % period) for t in row]
+                for row in indices
+            ]
+            assert gathered.tolist() == expected
+            wrapping = range(period - 7, period + 9)
+            assert schedule.channel_block(wrapping.start, wrapping.stop).tolist() == [
+                schedule.channel_at(t % period) for t in wrapping
+            ]
+            np.testing.assert_array_equal(
+                schedule.period_table(), schedule.channel_block(0, period)
+            )
+
+    @pytest.mark.parametrize("algorithm, n", sorted(_PINNED_TABLE_DIGESTS))
+    def test_period_table_digest_pinned(self, algorithm, n):
+        table = repro.build_schedule([1, 5, 9], n, algorithm=algorithm).period_table()
+        digest = hashlib.sha256(
+            np.ascontiguousarray(table, dtype=np.int64).tobytes()
+        ).hexdigest()
+        assert digest == _PINNED_TABLE_DIGESTS[(algorithm, n)]
 
     def test_generic_fallback_on_huge_periods(self):
         period = _CACHE_LIMIT + 3
