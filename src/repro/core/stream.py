@@ -42,13 +42,27 @@ The kernel never materializes a period table; it walks fixed-byte
 The deduped classes split into independent **shift blocks** sized by
 a :class:`TilePlan` (:func:`plan_tiles` derives rows per block and
 bytes per tile from the lane count, the machine's L2/L3 cache sizes
-and the problem shape).  Sparse blocks assemble their whole
-``(rows, width)`` tile in one vectorized ``channel_gather`` call;
-dense blocks slice one contiguous ``channel_block`` chunk into strided
-window views.  Sweeps run on one lane by default.  ``stream_workers >
-1`` fans the blocks out over a thread pool — numpy releases the GIL
-inside the tile-sized gathers and compares — which pays only on large
-strided sweeps (``docs/TUNING.md`` has the measurements).  Blocks
+and the problem shape).  A tile's rows come one of three ways:
+
+* **consecutive** offsets (an exhaustive sweep, a dense prefix) are
+  compared *in place*: the tile is the ``sliding_window_view`` of the
+  one ``channel_block`` chunk generated for them, with no copy;
+* other **close** offsets fancy-index that window view, which copies;
+* **sparse** blocks assemble their whole ``(rows, width)`` tile in one
+  vectorized ``channel_gather`` call.
+
+Dense chunks and the fixed side's rows are compared in int16 whenever
+their channel ids fit (:func:`_narrow`; ids that do not fit are never
+cast, so two ids can never alias), and each row retires with one
+``argmax``.  A tile's budget counts what it allocates: a view tile
+with no environment costs one compare-mask byte per cell, so a group
+of consecutive offsets gets 8x the rows per block; gathered and
+environment-masked tiles cost 8 bytes per cell.
+
+Sweeps run on one lane by default.  ``stream_workers > 1`` fans the
+blocks out over a thread pool — numpy releases the GIL inside the
+tile-sized gathers and compares — which pays only on large strided
+sweeps (``docs/TUNING.md`` has the measurements).  Blocks
 touch disjoint result rows, so every lane count and every plan returns
 the same profile.
 
@@ -100,7 +114,11 @@ __all__ = [
 SCALAR_JOINT_LIMIT = 64
 
 _INITIAL_TIME_BLOCK = 256
-_BYTES_PER_CELL = 8  # int64 channel ids
+# Budgeted bytes per cell of a gathered or environment-masked tile (an
+# int64 channel id); a view tile with no environment budgets 1 (its
+# compare mask).
+_BYTES_PER_CELL = 8
+_INT16 = np.iinfo(np.int16)
 
 # Auto-tuner clamps: a tile below 16 KiB drowns in per-tile dispatch
 # overhead; one above 8 MiB stops fitting any per-core cache level.
@@ -195,7 +213,12 @@ class TilePlan:
 
     @property
     def cells(self) -> int:
-        """Int64 cells one tile may hold under ``tile_bytes``."""
+        """Int64 cells under ``tile_bytes``: the fixed-row cache's budget.
+
+        A gathered or environment-masked tile holds at most this many
+        cells; a view tile with no environment holds up to 8x as many
+        (one compare-mask byte per cell, see :func:`_scan_block`).
+        """
         return max(1, self.tile_bytes // _BYTES_PER_CELL)
 
 
@@ -205,14 +228,17 @@ def plan_tiles(
     workers: int | None = None,
     tile_bytes: int | None = None,
     caches: tuple[int, int] | None = None,
+    contiguous: bool = False,
 ) -> TilePlan:
     """Auto-tune a :class:`TilePlan` for one blocked scan.
 
     Pure arithmetic over the problem shape (``num_offsets`` deduped
-    shift classes, ``horizon`` slots), the lane count (``None``: one
-    lane), and the machine's cache sizes (``caches`` overrides the
-    memoized :func:`cache_sizes` probe) — no wall-clock or RNG input,
-    so the same arguments always produce the same plan.
+    shift classes, ``horizon`` slots, and ``contiguous``: whether the
+    classes are consecutive offsets scanned with no environment), the
+    lane count (``None``: one lane), and the machine's cache sizes
+    (``caches`` overrides the memoized :func:`cache_sizes` probe) — no
+    wall-clock or RNG input, so the same arguments always produce the
+    same plan.
 
     Sizing policy, in order:
 
@@ -222,10 +248,14 @@ def plan_tiles(
       all lanes together leave half the L3 free.  An explicit
       ``tile_bytes`` pins the budget unchanged.
     * **block rows** — one-lane scans take the widest block one tile
-      can hold (fewer tiles, best vectorization); multi-lane scans
-      split the rows into ``workers * 4`` blocks (bounded by the tile
-      cap) so lanes that retire early pick up remaining blocks instead
-      of idling.
+      can hold at the first time block's width (fewer tiles, best
+      vectorization); multi-lane scans split the rows into
+      ``workers * 4`` blocks (bounded by the tile cap) so lanes that
+      retire early pick up remaining blocks instead of idling.  A tile
+      is budgeted by what it allocates: 8 bytes per cell (an int64 id)
+      by default, 1 byte per cell (the compare mask of a copy-free
+      window view) when ``contiguous`` — so a consecutive group gets
+      ``tile_bytes // 256`` rows per block, 8x the gathered budget.
     * **workers** — clamped to the number of blocks; extra lanes could
       never receive work.
     """
@@ -241,7 +271,7 @@ def plan_tiles(
         if tile_bytes <= 0:
             raise ValueError(f"tile_bytes must be positive, got {tile_bytes}")
         tile = int(tile_bytes)
-    cells = max(1, tile // _BYTES_PER_CELL)
+    cells = max(1, tile // (1 if contiguous else _BYTES_PER_CELL))
     initial_block = min(_INITIAL_TIME_BLOCK, max(1, horizon))
     rows_cap = max(1, cells // initial_block)
     rows = max(1, num_offsets)
@@ -517,19 +547,27 @@ def ttr_sweep(
         for gid, (group, var, fixed, column) in enumerate(groups):
             if not group.any():
                 continue
+            # Sorted and distinct: ``unique_pairs`` is in lexicographic
+            # order and the other column is constant within a group.
+            offsets = unique_pairs[group, column]
             group_plan = plan
             if group_plan is None:
                 group_plan = plan_tiles(
-                    int(group.sum()), effective,
+                    offsets.size, effective,
                     workers=stream_workers, tile_bytes=tile_bytes,
+                    contiguous=environment is None and _consecutive(offsets),
                 )
             telemetry.gauge("sweep.lanes", group_plan.workers)
             telemetry.gauge("sweep.block_rows", group_plan.block_rows)
             telemetry.gauge("sweep.tile_bytes", group_plan.tile_bytes)
             ttrs[group] = _scan_offsets(
-                var, fixed, unique_pairs[group, column], effective, group_plan,
+                var, fixed, offsets, effective, group_plan,
                 recorder=recorder, gid=gid, environment=environment,
             )
+            # Free the group's offsets now: the next group's and the
+            # result dict built by the scatter (the sweep's peak
+            # memory) must not share the heap with them.
+            del offsets
         with telemetry.span("stream.scatter"):
             return scatter_ttrs(shifts, ttrs, inverse)
 
@@ -608,6 +646,24 @@ def _coerce_schedule(x: Schedule | np.ndarray) -> Schedule:
     return coerce_schedule(x)
 
 
+def _consecutive(offsets: np.ndarray) -> bool:
+    """Whether sorted, distinct ``offsets`` form one run ``lo .. lo + n - 1``."""
+    return int(offsets[-1]) - int(offsets[0]) + 1 == offsets.size
+
+
+def _narrow(values: np.ndarray) -> np.ndarray:
+    """``values`` as int16 when every one fits, otherwise unchanged.
+
+    Tiles only compare channel ids for equality, so a narrower dtype
+    changes no answer — as long as no id is cast that does not fit:
+    the range check guarantees two distinct ids never alias, and a
+    mixed int16/int64 compare is promoted by numpy.
+    """
+    if _INT16.min <= values.min() and values.max() <= _INT16.max:
+        return values.astype(np.int16, copy=False)
+    return values
+
+
 class _FixedRowCache:
     """Bounded memo of the fixed side's ``(t0, t1)`` channel rows.
 
@@ -616,8 +672,9 @@ class _FixedRowCache:
     — and across thread lanes.  Unlocked on purpose: dict reads/writes
     are atomic under the GIL, and the worst race outcome is one row
     generated twice with identical contents, never a wrong result.
-    The byte budget keeps late, rare, per-block-unique windows from
-    accumulating.
+    The budget (in cells, whatever the dtype) keeps late, rare,
+    per-block-unique windows from accumulating.  Rows are narrowed
+    like tile chunks (:func:`_narrow`).
     """
 
     __slots__ = ("_schedule", "_budget", "_rows", "_cached_cells")
@@ -632,7 +689,7 @@ class _FixedRowCache:
         """The fixed side's channels over ``[t0, t1)``, memoized."""
         row = self._rows.get((t0, t1))
         if row is None:
-            row = np.asarray(self._schedule.channel_block(t0, t1))
+            row = _narrow(np.asarray(self._schedule.channel_block(t0, t1)))
             if self._cached_cells + row.size <= self._budget:
                 self._rows[(t0, t1)] = row
                 self._cached_cells += row.size
@@ -641,24 +698,36 @@ class _FixedRowCache:
 
 def _gather_tile(
     schedule: Schedule, offsets: np.ndarray, t0: int, width: int
-) -> np.ndarray:
+) -> tuple[np.ndarray, int]:
     """Rows ``schedule[(off + t0) .. (off + t0 + width))`` per offset.
 
-    ``offsets`` must be sorted ascending.  When the block's offsets are
+    ``offsets`` must be sorted ascending and distinct.  When they are
     close together (span no larger than the rows matrix itself), one
-    contiguous chunk is generated and the rows are strided window views
-    of it; sparse blocks assemble the whole ``(rows, width)`` index
+    contiguous chunk is generated, narrowed (:func:`_narrow`), and
+    viewed through ``sliding_window_view``: consecutive offsets *are*
+    that view, with no copy; other close offsets fancy-index it, which
+    copies.  Sparse blocks assemble the whole ``(rows, width)`` index
     matrix and fetch it in a single vectorized ``channel_gather`` call
     instead of one Python call per row.
+
+    Returns the tile and the bytes built for it: the chunk for a view,
+    the copy or the gathered array otherwise.
     """
     base = int(offsets[0])
     span = int(offsets[-1]) - base + width
     if span <= offsets.size * width:
-        chunk = np.asarray(schedule.channel_block(base + t0, base + t0 + span))
-        return sliding_window_view(chunk, width)[offsets - base]
+        chunk = _narrow(
+            np.asarray(schedule.channel_block(base + t0, base + t0 + span))
+        )
+        windows = sliding_window_view(chunk, width)
+        if _consecutive(offsets):
+            return windows, chunk.nbytes
+        tile = windows[offsets - base]
+        return tile, tile.nbytes
     starts = offsets[:, np.newaxis] + t0
     window = np.arange(width, dtype=np.int64)[np.newaxis, :]
-    return np.asarray(schedule.channel_gather(starts + window))
+    tile = np.asarray(schedule.channel_gather(starts + window))
+    return tile, tile.nbytes
 
 
 def _scan_block(
@@ -666,7 +735,7 @@ def _scan_block(
     offsets: np.ndarray,
     block: np.ndarray,
     horizon: int,
-    cells: int,
+    tile_bytes: int,
     fixed_rows: _FixedRowCache,
     result: np.ndarray,
     start: int = 0,
@@ -686,34 +755,49 @@ def _scan_block(
     advances at every time-block boundary.  ``environment`` ANDs its
     validity mask into each tile's compare (channels from the varying
     side, slots on the TTR clock).
+
+    Each tile's width is ``tile_bytes`` over what one slot of the tile
+    allocates.  A view tile with no environment allocates a one-byte
+    compare mask per row plus about 8 bytes of the int64 chunk it
+    views, and is capped by the larger of the two; a gathered tile, or
+    one the environment's hash mask covers, is budgeted at 8 bytes per
+    row.
     """
     remaining = block
     t0 = start
-    length = min(_INITIAL_TIME_BLOCK, horizon, max(1, cells // remaining.size))
+    length = _INITIAL_TIME_BLOCK
     while t0 < horizon and remaining.size:
+        live = offsets[remaining]
+        if environment is None and _consecutive(live):
+            slot_bytes = max(remaining.size, _BYTES_PER_CELL)
+        else:
+            slot_bytes = remaining.size * _BYTES_PER_CELL
+        length = min(length, max(1, tile_bytes // slot_bytes))
         t1 = min(t0 + length, horizon)
         width = t1 - t0
         with telemetry.span("stream.tile_assembly") as tile_span:
-            rows = _gather_tile(var, offsets[remaining], t0, width)
+            rows, built = _gather_tile(var, live, t0, width)
             fixed_row = fixed_rows.row(t0, t1)
-            tile_span.add_bytes(rows.nbytes)
+            tile_span.add_bytes(built)
         with telemetry.span("stream.compare"):
             eq = rows == fixed_row[np.newaxis, :]
         if environment is not None:
             with telemetry.span("stream.mask"):
                 eq &= environment.slot_mask(rows, np.arange(t0, t1, dtype=np.int64))
         with telemetry.span("stream.retire"):
-            hit = eq.any(axis=1)
+            # A row's argmax is its first hit, or 0 when it has none.
+            first = eq.argmax(axis=1)
+            hit = eq[np.arange(first.size), first]
             hit_rows = remaining[hit]
             if hit_rows.size:
-                result[hit_rows] = t0 + eq[hit].argmax(axis=1)
+                result[hit_rows] = t0 + first[hit]
                 remaining = remaining[~hit]
         t0 = t1
         if recorder is not None:
             recorder.update(gid, hit_rows, result[hit_rows], remaining, t0)
         # Survivors are the slow rows: widen the window so the scan
         # finishes in O(log horizon) passes within the budget.
-        length = min(length * 2, max(1, cells // max(remaining.size, 1)))
+        length *= 2
     if recorder is not None and remaining.size:
         # Rows that reached the horizon hit-free are certified misses.
         recorder.update(gid, remaining, result[remaining], remaining[:0], horizon)
@@ -772,7 +856,7 @@ def _scan_offsets(
         with ThreadPoolExecutor(max_workers=lanes) as pool:
             futures = [
                 pool.submit(
-                    _scan_block, var, offsets, block, horizon, plan.cells,
+                    _scan_block, var, offsets, block, horizon, plan.tile_bytes,
                     fixed_rows, result, int(starts[block].min()), recorder, gid,
                     environment,
                 )
@@ -783,7 +867,7 @@ def _scan_offsets(
     else:
         for block in blocks:
             _scan_block(
-                var, offsets, block, horizon, plan.cells, fixed_rows, result,
+                var, offsets, block, horizon, plan.tile_bytes, fixed_rows, result,
                 int(starts[block].min()), recorder, gid, environment,
             )
     return result

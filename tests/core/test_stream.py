@@ -19,6 +19,7 @@ import repro
 from repro.baselines import BASELINE_NAMES
 from repro.core import stream as stream_module
 from repro.core import telemetry
+from repro.core.environment import FadingMisses
 from repro.core.schedule import _CACHE_LIMIT, CyclicSchedule, FunctionSchedule
 from repro.core.stream import TilePlan, plan_tiles, ttr_sweep
 from repro.core.verification import (
@@ -436,6 +437,147 @@ class TestChannelGather:
         ]
 
 
+def _old_gather(schedule, offsets, t0, width):
+    """The tile gather before view tiles: every dense row copied out of
+    an int64 window view, sparse rows fetched in one gather."""
+    base = int(offsets[0])
+    span = int(offsets[-1]) - base + width
+    if span <= offsets.size * width:
+        chunk = np.asarray(schedule.channel_block(base + t0, base + t0 + span))
+        return np.lib.stride_tricks.sliding_window_view(chunk, width)[offsets - base]
+    starts = offsets[:, np.newaxis] + t0
+    return schedule.channel_gather(starts + np.arange(width)[np.newaxis, :])
+
+
+def _kernel_snapshot(a, b, shifts, horizon, **kwargs):
+    """One kernel sweep with telemetry on: ``(profile, snapshot)``."""
+    telemetry.enable()
+    telemetry.reset()
+    try:
+        profile = ttr_sweep(a, b, shifts, horizon, **kwargs)
+        return profile, telemetry.snapshot()
+    finally:
+        telemetry.disable()
+        telemetry.reset()
+
+
+class TestViewTiles:
+    """Consecutive shift rows compared in place, ids narrowed to int16
+    when they fit, one ``argmax`` per row to retire it."""
+
+    def test_ids_past_int16_never_alias(self):
+        # Cast to int16, 65541 would wrap to 5, 70000 to 4464 and 32768
+        # to -32768: every such pair would fake a meeting.
+        rng = np.random.default_rng(0)
+        a = CyclicSchedule(rng.choice([5, 70000, 32767, 32768], size=97))
+        b = CyclicSchedule(rng.choice([65541, 4464, 32767, -32768], size=89))
+        shifts = exhaustive_shift_range(a, b)
+        horizon = math.lcm(a.period, b.period)
+        assert ttr_sweep(a, b, shifts, horizon) == _scalar(a, b, shifts, horizon)
+
+    def test_consecutive_offsets_are_a_view_of_the_chunk(self, monkeypatch):
+        schedule = repro.build_schedule([1, 5, 9], 32, algorithm="crseq")
+        chunks = []
+        narrow = stream_module._narrow
+
+        def spy(values):
+            chunks.append(narrow(values))
+            return chunks[-1]
+
+        monkeypatch.setattr(stream_module, "_narrow", spy)
+        offsets = np.arange(40, 90, dtype=np.int64)
+        tile, built = stream_module._gather_tile(schedule, offsets, 7, 33)
+        (chunk,) = chunks
+        assert chunk.dtype == np.int16
+        assert np.shares_memory(tile, chunk)
+        assert built == chunk.nbytes
+        np.testing.assert_array_equal(tile, _old_gather(schedule, offsets, 7, 33))
+
+    def test_ids_past_int16_view_the_table_itself(self):
+        # Nothing to narrow: the tile is a window over the int64 table.
+        table = np.arange(100_000, 100_500, dtype=np.int64)
+        schedule = stream_module._coerce_schedule(table)
+        offsets = np.arange(10, 30, dtype=np.int64)
+        tile, built = stream_module._gather_tile(schedule, offsets, 5, 64)
+        assert tile.dtype == np.int64
+        assert np.shares_memory(tile, table)
+        assert built == (offsets.size + 64 - 1) * 8
+        np.testing.assert_array_equal(tile, _old_gather(schedule, offsets, 5, 64))
+
+    @pytest.mark.parametrize(
+        "offsets",
+        [[3, 4, 6, 9, 10], [0, 500, 1000], [2, 2000, 2001, 2002]],
+        ids=["dense", "sparse", "sparse-wrapping"],
+    )
+    def test_other_offsets_gather_the_same_values(self, offsets):
+        offsets = np.asarray(offsets, dtype=np.int64)
+        for algorithm in ("crseq", "jump-stay"):
+            schedule = repro.build_schedule([1, 5, 9], 32, algorithm=algorithm)
+            t0 = schedule.period - 3
+            tile, built = stream_module._gather_tile(schedule, offsets, t0, 16)
+            assert built == tile.nbytes
+            np.testing.assert_array_equal(
+                tile, _old_gather(schedule, offsets, t0, 16)
+            )
+
+    @pytest.mark.parametrize("tile_bytes", [64, 384, 4096])
+    def test_retire_first_slot_last_slot_and_never(self, tile_bytes):
+        # ``b`` always plays channel 0, so shift s >= 0 meets at the
+        # first zero of ``a`` from position s on.  With zeros at 0, 7
+        # and 40 of 48 and a horizon of 16, a 384-byte tile scans
+        # [0, 8) then [8, 16) in one block, and each tile has rows
+        # meeting at its first slot, rows meeting at its last slot and
+        # rows (s = 8..24) that never meet.
+        sequence = [1] * 48
+        for zero in (0, 7, 40):
+            sequence[zero] = 0
+        a, b = CyclicSchedule(sequence), CyclicSchedule([0] * 5)
+        shifts = list(exhaustive_shift_range(a, b))
+        plan = TilePlan(tile_bytes=tile_bytes, block_rows=64, workers=1)
+        profile = ttr_sweep(a, b, shifts, 16, plan=plan)
+        assert profile == _scalar(a, b, shifts, 16)
+        assert [profile[s] for s in (0, 7, 40, 33, 41, 32, 25)] == [
+            0, 0, 0, 7, 7, 8, 15,
+        ]
+        assert all(profile[s] is None for s in range(8, 25))
+
+    def test_tile_bytes_count_what_each_tile_builds(self):
+        # One block per sign group and a horizon inside the first time
+        # block: each group is one view tile, which builds only its
+        # int16 chunk of rows + width - 1 ids, not rows x width of them.
+        a = CyclicSchedule(np.arange(97) % 11)
+        b = CyclicSchedule(np.arange(89) % 7)
+        horizon = 50
+        plan = TilePlan(tile_bytes=1 << 20, block_rows=256, workers=1)
+        shifts = exhaustive_shift_range(a, b)
+        profile, snap = _kernel_snapshot(a, b, shifts, horizon, plan=plan)
+        assert profile == _scalar(a, b, shifts, horizon)
+        assembly = snap["spans"]["stream.sweep"]["children"]["stream.tile_assembly"]
+        assert assembly["calls"] == 2
+        chunk_ids = (97 + horizon - 1) + (88 + horizon - 1)
+        assert assembly["bytes"] == 2 * chunk_ids
+
+    def test_block_rows_follow_the_tile_kind(self):
+        # The sweep records which budget its last sign group ran under:
+        # consecutive offsets with no environment budget one mask byte
+        # per cell; an environment or strided shifts budget 8 bytes.
+        rng = np.random.default_rng(3)
+        a = CyclicSchedule(rng.integers(0, 8, size=5003))
+        b = CyclicSchedule(rng.integers(0, 8, size=4999))
+
+        def block_rows(shifts, environment=None):
+            _, snap = _kernel_snapshot(
+                a, b, shifts, 1000, tile_bytes=1 << 20, environment=environment
+            )
+            return snap["gauges"]["sweep.block_rows"]
+
+        exhaustive = exhaustive_shift_range(a, b)
+        assert block_rows(exhaustive) == (1 << 20) // 256
+        assert block_rows(exhaustive, FadingMisses(p=0.0)) == (1 << 20) // 8 // 256
+        strided = range(-b.period + 1, a.period, 3)
+        assert block_rows(strided) == (1 << 20) // 8 // 256
+
+
 class TestTilePlanner:
     """plan_tiles: deterministic, cache-aware, shape-aware."""
 
@@ -479,6 +621,14 @@ class TestTilePlanner:
         plan = plan_tiles(10_000, 1 << 20, workers=1, tile_bytes=1 << 20)
         assert plan.block_rows == (1 << 20) // 8 // 256
         assert plan.workers == 1
+
+    def test_contiguous_blocks_budget_the_compare_mask(self):
+        # A copy-free window view allocates one mask byte per cell, not
+        # an 8-byte id, so the same tile holds 8x the rows.
+        plan = plan_tiles(
+            10_000, 1 << 20, workers=1, tile_bytes=1 << 20, contiguous=True
+        )
+        assert plan.block_rows == (1 << 20) // 256
 
     def test_parallel_blocks_split_for_load_balance(self):
         plan = plan_tiles(1000, 1 << 20, workers=4, tile_bytes=1 << 20)
