@@ -2,30 +2,26 @@
 
 The acceptance bench for ``repro.core.store``: a Table-1-regime sweep
 (the multi-agent Theorem-7 adversarial family at ``n = 128``, DRDS —
-the baseline whose ``45 n^2 + 8n``-slot global sequence makes period
-tables genuinely expensive) is run three ways over the same pairs with
-the same parallel ``SweepRunner`` settings:
+the baseline whose ``45 n^2 + 8n``-slot global sequence is the one
+schedule input expensive to rebuild) is run three ways over the same
+pairs with the same parallel ``SweepRunner`` settings:
 
-* **rebuild** — no store: every worker process materializes the period
-  table of every schedule its chunk of pairs touches;
-* **store, cold** — fresh store: the parent builds each distinct table
+* **rebuild** — no store: every worker process builds the global
+  sequence itself;
+* **store, cold** — fresh store: the parent builds the global sequence
   exactly once (asserted via the store's build counter), workers attach
-  read-only memmaps;
-* **store, warm** — the store already holds every table (the steady
-  state every later sweep, table, and process on the machine sees):
-  nothing is built anywhere.
+  it as a read-only memmap;
+* **store, warm** — the store already holds it (the steady state every
+  later sweep, table, and process on the machine sees): nothing is
+  built anywhere.
+
+Every per-set schedule is built in-process on all three paths and swept
+through its row hooks; no per-set table is stored.
 
 Results are recorded to ``results/store_sweep.txt`` and
 ``results/BENCH_store_sweep.json``; the gate asserts bit-identical
 measurements across all three paths and that the warm store is no
 slower than per-worker rebuilds.
-
-Historical note: before DRDS table construction was vectorized
-(closed-form projection of a shared global sequence), the
-rebuild path cost ~3.5 s here and the warm store won by ~8x; the
-vectorization shrank the rebuild penalty itself, so the store's
-remaining margin on this workload is the global-sequence build and the
-memory it deduplicates, not the projection loop.
 """
 
 from __future__ import annotations
@@ -35,7 +31,6 @@ import os
 import time
 from pathlib import Path
 
-from repro.core.store import store_key
 from repro.sim.runner import SweepRunner
 from repro.sim.workloads import adversarial_single_common
 
@@ -62,7 +57,6 @@ def test_store_vs_per_worker_rebuild(benchmark, record, tmp_path):
     """Recorded wall-clock comparison + the built-exactly-once assertion."""
     instance = adversarial_single_common(N, K, NUM_AGENTS, seed=2)
     pairs = instance.overlapping_pairs()
-    distinct = {store_key(s, N, ALGORITHM, 0) for s in instance.sets}
 
     rebuild_runner = SweepRunner(workers=WORKERS)
     assert rebuild_runner.effective_workers(len(pairs)) == WORKERS
@@ -70,13 +64,10 @@ def test_store_vs_per_worker_rebuild(benchmark, record, tmp_path):
 
     store_runner = SweepRunner(workers=WORKERS, store=tmp_path / "store")
     cold_seconds, cold_measured = _timed_sweep(store_runner, instance)
-    # The tentpole contract: each distinct (channels, n, algorithm,
-    # seed) period table was materialized exactly once for the sweep —
-    # plus one shared DRDS global sequence (its own entry, counted
-    # separately) that every per-set build projected from.
-    assert store_runner.store.builds == len(distinct)
-    assert store_runner.store.global_builds == 1
-    assert len(store_runner.store.entries()) == len(distinct) + 1
+    # The store's contract: the shared DRDS global sequence was built
+    # exactly once for the sweep, and it is the store's one entry.
+    assert store_runner.store.builds == 1
+    assert len(store_runner.store.entries()) == 1
 
     warm_runner = SweepRunner(workers=WORKERS, store=tmp_path / "store")
     warm_seconds, warm_measured = benchmark.pedantic(
@@ -84,9 +75,8 @@ def test_store_vs_per_worker_rebuild(benchmark, record, tmp_path):
         rounds=1,
         iterations=1,
     )
-    # Warm pass: attaches only, zero builds anywhere.
+    # Warm pass: zero builds anywhere.
     assert warm_runner.store.builds == 0
-    assert warm_runner.store.attaches == len(distinct)
 
     assert rebuild_measured == cold_measured == warm_measured, (
         "store on/off must be bit-identical"
@@ -101,16 +91,15 @@ def test_store_vs_per_worker_rebuild(benchmark, record, tmp_path):
         "workload": f"adversarial_single_common(k={K}, agents={NUM_AGENTS}, seed=2)",
         "pairs": len(pairs),
         "workers": WORKERS,
-        "distinct_tables": len(distinct),
-        "table_slots": 45 * N * N + 8 * N,
+        "distinct_sets": len(set(instance.sets)),
+        "global_sequence_slots": 45 * N * N + 8 * N,
         "rebuild_seconds": round(rebuild_seconds, 4),
         "store_cold_seconds": round(cold_seconds, 4),
         "store_warm_seconds": round(warm_seconds, 4),
         "speedup_cold": round(speedup_cold, 2),
         "speedup_warm": round(speedup_warm, 2),
         "store_builds": store_runner.store.builds,
-        "global_sequence_builds": store_runner.store.global_builds,
-        "parent_attaches": store_runner.store.attaches,
+        "warm_parent_attaches": warm_runner.store.attaches,
     }
     results_dir = Path(__file__).parent / "results"
     results_dir.mkdir(exist_ok=True)
@@ -120,15 +109,15 @@ def test_store_vs_per_worker_rebuild(benchmark, record, tmp_path):
     record(
         "store_sweep",
         f"Table-1 sweep at n={N} ({ALGORITHM}, {len(pairs)} pairs, "
-        f"{WORKERS} workers, {len(distinct)} distinct tables of "
+        f"{WORKERS} workers, one global sequence of "
         f"{45 * N * N + 8 * N} slots):\n"
         f"  per-worker rebuild   {rebuild_seconds:8.3f} s\n"
         f"  store, cold          {cold_seconds:8.3f} s  "
-        f"({speedup_cold:.2f}x; parent builds each table once)\n"
+        f"({speedup_cold:.2f}x; parent builds the sequence once)\n"
         f"  store, warm          {warm_seconds:8.3f} s  "
         f"({speedup_warm:.2f}x; attach-only, zero builds)\n"
-        "identical measurements on all three paths; store builds == "
-        f"{len(distinct)} == distinct (channels, n, algorithm, seed) keys",
+        "identical measurements on all three paths; store builds == 1, "
+        "its only entry",
     )
     assert warm_seconds <= rebuild_seconds * 1.2, (
         f"warm store must not lose to per-worker rebuilds, got "

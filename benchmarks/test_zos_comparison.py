@@ -68,9 +68,9 @@ def _worst_pair_ttr(
 
 @pytest.fixture(scope="module")
 def comparison_store(tmp_path_factory) -> ScheduleStore:
-    """One store for the whole comparison: DRDS tables at n = 128/256
-    span megabytes and are shared across the asymmetric and symmetric
-    regimes instead of being rebuilt per fixture."""
+    """One store for the whole comparison: DRDS global sequences at
+    n = 128/256 span megabytes and are shared across the asymmetric and
+    symmetric regimes instead of being rebuilt per fixture."""
     return ScheduleStore(tmp_path_factory.mktemp("zos-comparison-store"))
 
 
@@ -108,8 +108,8 @@ def test_zos_vs_drds_table(benchmark, measured, comparison_store, record):
         "DRDS pays its Theta(n^2) global period at every universe size;",
         "ZOS tracks the available-set size m and stays flat in n.",
         "",
-        f"schedule store: {stats['builds']} tables built once, "
-        f"{stats['attaches']} attached across regimes, "
+        f"schedule store: {stats['builds']} DRDS global sequences built "
+        f"once, {stats['attaches']} attached across regimes, "
         f"{stats['total_bytes'] / (1 << 20):.1f} MiB resident",
     ]
     record("zos_vs_drds", "\n".join(lines))

@@ -1,13 +1,15 @@
 """Prewarming the shared schedule store for large-universe sweeps.
 
-At ``n = 128`` a single DRDS period table spans ``45 n^2 + 8n = 738304``
-slots (5.6 MiB) and costs real time to materialize.  Without a store,
-every process that sweeps against it — each `SweepRunner` pool worker,
-every later run — rebuilds it from scratch.  This example shows the
-store lifecycle end to end:
+At ``n = 128`` the DRDS global sequence spans ``45 n^2 + 8n = 738304``
+slots (5.6 MiB), and every DRDS schedule projects it.  Without a store,
+every process that sweeps DRDS — each `SweepRunner` pool worker, every
+later run — rebuilds it from scratch.  The store keeps that one
+sequence per universe size and nothing else: per-set schedules are
+built in-process over it, and the sweep kernel reads their rows on
+demand.  This example shows the store lifecycle end to end:
 
-1. prewarm: materialize each distinct table exactly once;
-2. sweep: the runner (and all of its workers) attach read-only memmaps;
+1. prewarm: build and store the global sequence exactly once;
+2. sweep: the runner (and all of its workers) attach a read-only memmap;
 3. resweep: a fresh runner starts warm — zero builds anywhere;
 4. tune: the same sweep with explicit intra-pair worker lanes and an
    auto-tuned tile budget — bit-identical results (the runner spends
@@ -56,18 +58,18 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as store_dir:
         store = ScheduleStore(store_dir)
 
-        # --- 1. prewarm: each distinct table is built exactly once ----
+        # --- 1. prewarm: the global sequence is built exactly once ---
         start = time.perf_counter()
         runner = SweepRunner(workers=1, store=store)
         distinct = runner.prewarm(instance, ALGORITHM)
         print(
-            f"prewarmed {distinct} distinct tables in "
-            f"{time.perf_counter() - start:.2f}s "
+            f"prewarmed the n={N} global sequence for {distinct} distinct "
+            f"channel sets in {time.perf_counter() - start:.2f}s "
             f"(store: {store.builds} builds, "
             f"{store.total_bytes() / (1 << 20):.1f} MiB)"
         )
 
-        # --- 2. sweep: every lookup attaches, nothing is rebuilt ------
+        # --- 2. sweep: schedules project the stored sequence ----------
         start = time.perf_counter()
         measured = runner.measure_instance(
             instance, ALGORITHM, HORIZON, dense=8, probes=8
@@ -91,7 +93,7 @@ def main() -> None:
         )
 
         # --- 4. the lane/tile knobs ride the same store ---------------
-        # The kernel gathers tiles straight off the attached memmaps;
+        # The kernel gathers tiles straight off the attached memmap;
         # 2 intra-pair lanes and an auto-tuned tile plan must reproduce
         # the measurements bit-identically — knobs move wall-clock,
         # never results.  worker_budget shows how a runner splits its
@@ -115,11 +117,11 @@ def main() -> None:
 
         # --- 5. inspect and evict -------------------------------------
         rows = [
-            [m["digest"], m["algorithm"], m["n"], m["period"],
-             f"{m['nbytes'] / (1 << 20):.1f}"]
+            [m["digest"], m["n"], m["period"], f"{m['nbytes'] / (1 << 20):.1f}"]
             for m in store.entries()
         ]
-        print(format_table(["digest", "algorithm", "n", "period", "MiB"], rows))
+        assert len(rows) == 1, "the store keeps one global sequence per n"
+        print(format_table(["digest", "n", "period", "MiB"], rows))
         print(f"\nworst TTR over all pairs: {max(m.worst_ttr for m in measured)}")
         print(f"evicted {store.clear()} entries; store empty again")
 

@@ -97,10 +97,10 @@ def build_schedule(
         ``"random"`` — baselines from :mod:`repro.baselines`
         (see :data:`repro.baselines.BASELINE_NAMES`).
     store:
-        Optional :class:`ScheduleStore`.  When given, the schedule's
-        period table is materialized into (or attached read-only from)
-        the store instead of being rebuilt in-process — the cheap path
-        for repeated and multi-process workloads.
+        Optional :class:`ScheduleStore`.  When given, ``"drds"``
+        projects the global sequence stored once per ``n`` (attached
+        read-only by every later process) instead of rebuilding it;
+        every other algorithm builds in-process as without a store.
     """
     if store is not None:
         return store.get(channels, n, algorithm)

@@ -34,9 +34,15 @@ their range limits leave structured hole bands — roughly ``3.5 n``
 differences per channel.  Those are completed by a deterministic greedy
 step: for each remaining difference ``d``, the lowest free pair
 ``(x, x + d)`` is claimed, with incremental coverage updates so the bonus
-differences of each new element shrink the remaining work.  The final
-family is *verified* to be a DRDS by FFT autocorrelation at build time
-(toggle with ``verify=``); total occupancy stays near half of ``Z_m``.
+differences of each new element shrink the remaining work; total
+occupancy stays near half of ``Z_m``.
+
+The greedy step and the FFT autocorrelation check that certifies the
+result run only when the build is verified (``verify=``), which by
+default is ``n <= 64`` (``_FILLER_VERIFY_LIMIT``).  Above that the
+sequence is the closed-form part alone, and it is *not* a DRDS: at
+``n = 128``, 126 of 128 channels miss some differences, so the
+rendezvous guarantee does not hold there (ROADMAP item 2).
 
 Channel disjointness of the closed-form part holds because each family
 separates channels by residue (mod ``4n``, ``2n`` or ``2n+1``) inside its
@@ -168,7 +174,9 @@ def build_global_sequence(n: int, verify: bool | None = None) -> np.ndarray:
 
     Returns an int64 array ``w`` of length ``sequence_period(n)``; ``w[t]`` is the
     channel that *owns* slot ``t`` (unowned slots are filled with
-    ``t mod n``, which does not affect the guarantee).
+    ``t mod n``, which does not affect the guarantee).  ``verify``
+    (default ``n <= 64``) runs the greedy patch and its FFT check;
+    without it the closed-form family is returned unpatched.
     """
     if n < 1:
         raise ValueError(f"universe size must be positive, got {n}")

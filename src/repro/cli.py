@@ -297,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     netsim.add_argument(
         "--store-dir",
         default=None,
-        help="optional schedule store: distinct period tables "
-        "materialize once and attach as read-only memmaps",
+        help="optional schedule store: the DRDS global sequence is "
+        "stored once and attached as a read-only memmap",
     )
     netsim.add_argument(
         "--json",
@@ -332,15 +332,15 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--store-dir",
         default=None,
-        help="shared schedule store: period tables are materialized here "
-        "once and attached (read-only memmaps) by every process",
+        help="shared schedule store: the DRDS global sequence is stored "
+        "here once and attached (read-only memmap) by every process",
     )
     sweep.add_argument(
         "--store-cap",
         type=int,
         default=None,
         help="byte cap on the schedule store's on-disk footprint "
-        "(least-recently-attached tables are evicted first); "
+        "(least-recently-attached records are evicted first); "
         "requires --store-dir",
     )
     sweep.add_argument(
@@ -350,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="read_roots",
         metavar="DIR",
         help="extra schedule-store root(s) consulted read-only before "
-        "building a table (repeatable); requires --store-dir",
+        "building a sequence (repeatable); requires --store-dir",
     )
     sweep.add_argument(
         "--results-dir",
@@ -457,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     store_sub = store.add_subparsers(dest="action", required=True)
 
     prewarm = store_sub.add_parser(
-        "prewarm", help="materialize period tables ahead of a sweep"
+        "prewarm", help="store the DRDS global sequence ahead of a sweep"
     )
     prewarm.add_argument(
         "--agents",
@@ -469,10 +469,10 @@ def build_parser() -> argparse.ArgumentParser:
     prewarm.add_argument("--algorithm", choices=_ALGORITHMS, default="paper")
     prewarm.add_argument("--store-dir", required=True)
 
-    inspect = store_sub.add_parser("inspect", help="list stored period tables")
+    inspect = store_sub.add_parser("inspect", help="list stored global sequences")
     inspect.add_argument("--store-dir", required=True)
 
-    evict = store_sub.add_parser("evict", help="drop stored period tables")
+    evict = store_sub.add_parser("evict", help="drop stored global sequences")
     evict.add_argument("--store-dir", required=True)
     group = evict.add_mutually_exclusive_group(required=True)
     group.add_argument("--digest", action="append", help="digest(s) to drop")
@@ -554,11 +554,11 @@ def _netsim_population(args: argparse.Namespace) -> list[Agent]:
     """Build the seeded agent population for one ``netsim`` invocation.
 
     One schedule is built per *distinct* channel set and shared across
-    the agents drawing it (through the store when ``--store-dir`` is
-    given), so the vectorized core's cohort grouping pays for each
-    period table exactly once.  Wake and departure slots come from one
-    seeded RNG, making the whole population a pure function of the
-    arguments.
+    the agents drawing it (DRDS over the store's global sequence when
+    ``--store-dir`` is given), so the vectorized core's cohort grouping
+    builds each schedule exactly once.  Wake and departure slots come
+    from one seeded RNG, making the whole population a pure function of
+    the arguments.
     """
     if args.agents < 1:
         raise ValueError(f"need at least one agent, got {args.agents}")
@@ -831,8 +831,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     missed = runner.cache_misses
     reused = runner.cache_hits
     # Pool workers keep their own caches, so parent-side stats only
-    # describe serial runs (with a store, misses are attaches or
-    # builds — the store line below splits them).
+    # describe serial runs.
     cache_note = (
         f"{missed} cache misses, {reused} cache hits, "
         if missed + reused
@@ -847,9 +846,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if runner.store is not None:
         s = runner.store.stats()
         print(
-            f"store {runner.store.store_dir}: {s['builds']} built, "
-            f"{s['attaches']} attached, {s['entries']} entries "
-            f"({s['total_bytes'] / 1024:.0f} KiB)"
+            f"store {runner.store.store_dir} (DRDS global sequences): "
+            f"{s['builds']} built, {s['attaches']} attached, "
+            f"{s['entries']} entries ({s['total_bytes'] / 1024:.0f} KiB)"
         )
     if runner.results is not None:
         print(_result_cache_line(runner.results))
@@ -978,10 +977,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_store(args: argparse.Namespace) -> int:
     store = ScheduleStore(args.store_dir)
     if args.action == "prewarm":
-        # Reuse the runner's prewarm so the per-agent seeding is the
-        # same one `sweep` uses — a prewarmed store is hit, never
-        # rebuilt, by the sweep that follows.  Every agent is warmed,
-        # overlapping or not.
+        # The runner's prewarm is the one `sweep` runs before a fan-out,
+        # so a prewarmed store is attached, never rebuilt, by the sweep
+        # that follows.
         runner = SweepRunner(workers=1, store=store)
         try:
             instance = Instance(
@@ -992,40 +990,34 @@ def _cmd_store(args: argparse.Namespace) -> int:
                 args.algorithm,
                 agents=list(range(instance.num_agents)),
             )
+            periods = [
+                runner.schedule_for(channels, instance.n, args.algorithm, i).period
+                for i, channels in enumerate(instance.sets)
+            ]
         except (AssertionError, ValueError) as exc:
             print(f"prewarm failed: {exc}")
             return 1
-        for i, channels in enumerate(args.agents):
-            schedule = runner.schedule_for(
-                frozenset(channels), args.universe, args.algorithm, i
-            )
+        for i, (channels, period) in enumerate(zip(args.agents, periods)):
+            print(f"agent{i} {sorted(set(channels))}: period {period}")
+        if args.algorithm != "drds":
             print(
-                f"agent{i} {sorted(set(channels))}: period {schedule.period}"
+                f"\n{args.algorithm} schedules are built in-process; "
+                "the store keeps only DRDS global sequences"
             )
         s = store.stats()
         print(
             f"\nstore {store.store_dir}: {s['builds']} built, "
-            f"{s['attaches']} already present, {s['bypasses']} bypassed "
-            f"(too large), {s['entries']} entries "
+            f"{s['attaches']} already present, {s['entries']} entries "
             f"({s['total_bytes'] / 1024:.0f} KiB)"
         )
         return 0
     if args.action == "inspect":
         entries = store.entries()
         rows = [
-            [
-                m["digest"],
-                m["algorithm"],
-                m["n"],
-                len(m["channels"]),
-                m["period"],
-                f"{m['nbytes'] / 1024:.0f}",
-            ]
+            [m["digest"], m["n"], m["period"], f"{m['nbytes'] / 1024:.0f}"]
             for m in entries
         ]
-        print(format_table(
-            ["digest", "algorithm", "n", "|S|", "period", "KiB"], rows
-        ))
+        print(format_table(["digest", "n", "period", "KiB"], rows))
         print(
             f"\n{len(entries)} entries, "
             f"{store.total_bytes() / 1024:.0f} KiB total"

@@ -38,12 +38,13 @@ stream
 blobs
     The storage layer under both persistent stores: one file set per
     digest, atomic writes with a marker file written last, one
-    on-disk byte cap with LRU eviction, and lookup-only read roots.
+    on-disk byte cap with LRU eviction, lookup-only read roots, and
+    ``source_digest`` to key a record by the code that builds it.
 store
-    Shared-memory schedule store: period tables materialized once as
-    read-only memmaps and attached by every sweep process (multi-root
-    read path); also shares the global DRDS sequence across channel
-    sets.
+    Shared-memory schedule store: the global DRDS sequence, built once
+    per universe size and attached as a read-only memmap by every
+    sweep process (multi-root read path); per-set schedules are built
+    in-process over it.
 results
     Persistent result cache: whole sweep measurements keyed by a
     content digest of their knob-invariant inputs, served back in

@@ -21,23 +21,48 @@
 Capacity and listings come from :meth:`BlobStore.scan`, one stat-only
 ``os.scandir`` pass: a few microseconds per stored record, paid on
 every write and every ``stats()``.
+
+:func:`source_digest` names the code behind a record: a key that folds
+it in changes when that code does.  Like the rest of this module it
+imports no numpy.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import os
 import tempfile
 from collections.abc import Callable, Iterable, Mapping
 from pathlib import Path
 from typing import BinaryIO, TypeVar
 
-__all__ = ["BlobStore", "atomic_write", "SHARD_PREFIX_LEN"]
+__all__ = ["BlobStore", "atomic_write", "source_digest", "SHARD_PREFIX_LEN"]
 
 #: Hex digits of the digest that name a record's shard directory: at
 #: most 256 directories, so no one listing grows unbounded.
 SHARD_PREFIX_LEN = 2
 
 _T = TypeVar("_T")
+
+#: The ``repro`` package directory, against which source names resolve.
+_PACKAGE_ROOT = Path(__file__).resolve().parent.parent
+
+
+@functools.lru_cache(maxsize=None)
+def source_digest(*names: str) -> str:
+    """16-hex-digit digest of the named package source files.
+
+    ``names`` are paths relative to the ``repro`` package, e.g.
+    ``source_digest("baselines/drds.py")``; each file's name and bytes
+    are hashed in the order given.  Memoized per process: the files are
+    read once.
+    """
+    digest = hashlib.sha256()
+    for name in names:
+        digest.update(name.encode() + b"\0")
+        digest.update((_PACKAGE_ROOT / name).read_bytes())
+    return digest.hexdigest()[:16]
 
 
 def atomic_write(path: Path, write: Callable[[BinaryIO], object]) -> None:

@@ -93,7 +93,7 @@ class Schedule:
         the table limit (Jump-Stay's cubic period at large ``n``).
 
         It is :meth:`channel_gather` over ``np.arange(start, stop)``;
-        only schedules whose window is a slice of a stored table
+        only schedules whose window is a slice of a wrapped array
         override it.
         """
         if stop < start:
@@ -128,7 +128,7 @@ class Schedule:
         """One full period of the schedule as a shared int64 array.
 
         The bulk-materialization hook behind the generic
-        ``channel_gather`` fallback and the schedule store: the table
+        ``channel_gather`` fallback: the table
         is computed once per schedule (and cached for periods up to
         ``_CACHE_LIMIT``), after which any window of the infinite
         schedule is a view/tile of it.  Callers must treat the returned

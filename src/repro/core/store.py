@@ -1,40 +1,36 @@
 """Shared-memory schedule store for multi-process sweeps.
 
-The Table-1 regime the paper cares about (worst-case TTR growing
-superlinearly in the universe size ``n``) is exactly where period
-tables get expensive: DRDS's global sequence spans ``45 n^2 + 8n``
-slots, and materializing it (:meth:`~repro.core.schedule.Schedule.period_table`)
-costs a full pass over the period.
+The only schedule data expensive to rebuild is DRDS's global sequence:
+``45 n^2 + 8n`` slots per universe size, built by a construction that
+takes seconds at ``n = 64`` and is shared by every channel set (each
+agent's schedule projects it).  Every other per-set schedule, DRDS's
+projections included, is cheap to build in-process, and the sweep
+kernel reads its rows on demand through ``channel_block`` /
+``channel_gather``.
 
-:class:`ScheduleStore` materializes each distinct
-``(channels, n, algorithm, seed)`` period table **exactly once** into a
-numpy ``.npy`` file under a store directory, and hands out *read-only
-memmap views* of it.  The key is the same cache key ``SweepRunner``
-already uses (:func:`store_key`: the seed collapses to ``-1`` for every
-deterministic algorithm), so a store can front any sweep without
-changing its semantics.  Workers attach by path — a file open plus an
-mmap, not a rebuild — and the OS page cache shares the physical pages
-across every process on the machine.
+:class:`ScheduleStore` therefore keeps one kind of record: the global
+DRDS sequence, one per ``n``, as a numpy ``.npy`` file under a store
+directory, handed out as a *read-only memmap*.  Workers attach by path —
+a file open plus an mmap, not a rebuild — and the OS page cache shares
+the physical pages across every process on the machine.
 
 Contracts
 ---------
-* ``get`` returns a :class:`StoredSchedule` whose ``period_table()`` is
-  the memmap itself — never a copy, and read-only.
-* ``builds`` / ``attaches`` / ``bypasses`` / ``evictions`` count what
-  actually happened; benches assert "built exactly once per sweep"
-  against ``builds``.
+* ``get`` builds every per-set schedule in-process: ``drds`` over
+  :meth:`ScheduleStore.global_sequence`, everything else through
+  :func:`build_plain`.  Answers are identical to the no-store path.
+* ``builds`` / ``attaches`` / ``evictions`` count global-sequence
+  records: stored after a build, attached from disk, evicted.
+* A record's digest folds in the digest of the source that builds it
+  (:func:`~repro.core.blobs.source_digest` of ``baselines/drds.py``),
+  so a changed construction misses instead of attaching a stale
+  sequence.
 * Storage follows :mod:`repro.core.blobs`: a ``.json`` sidecar, then
-  the ``.npy`` table as the marker; ``memory_cap`` bounds every byte on
-  disk, evicting least-recently-attached tables first; ``read_roots``
-  let several hosts share one warm corpus while each writes only its
-  own primary root.  Tables whose period exceeds
-  ``STORE_PERIOD_LIMIT``, or that would not fit under the cap at all,
-  bypass the store as ordinary in-process schedules.
-* The *global* DRDS sequence (one per universe size, shared by every
-  channel set) is stored once as its own entry
-  (:data:`GLOBAL_SEQUENCE_ALGORITHM`) and per-set DRDS tables are
-  built by projecting the attached memmap — counted separately in
-  ``global_builds`` / ``global_attaches``.
+  the ``.npy`` sequence as the marker; ``memory_cap`` bounds every byte
+  on disk, evicting least-recently-attached records first;
+  ``read_roots`` let several hosts share one warm corpus while each
+  writes only its own primary root.  A sequence longer than
+  ``STORE_PERIOD_LIMIT``, or too large for the cap, stays in-process.
 
 See ``docs/ARCHITECTURE.md`` for where the store sits in the data flow
 and ``docs/API.md`` for the call-level reference.
@@ -52,14 +48,14 @@ from pathlib import Path
 import numpy as np
 
 from repro.core import telemetry
-from repro.core.blobs import BlobStore
+from repro.core.blobs import BlobStore, source_digest
 from repro.core.schedule import _CACHE_LIMIT, Schedule
 
 __all__ = [
     "ScheduleStore",
     "StoredSchedule",
     "store_key",
-    "key_digest",
+    "sequence_digest",
     "build_plain",
     "coerce_schedule",
     "DEFAULT_MEMORY_CAP",
@@ -70,20 +66,21 @@ __all__ = [
 #: Default cap on the bytes a store keeps on disk.
 DEFAULT_MEMORY_CAP = 1 << 30
 
-#: Largest period (slots) the store will materialize.  Shares the
-#: schedule cache limit: beyond it no period table is ever built, and
-#: the sweep kernel generates such schedules' tiles on demand.
+#: Longest global sequence (slots) the store will write.  Shares the
+#: schedule cache limit.
 STORE_PERIOD_LIMIT = _CACHE_LIMIT
 
-#: Pseudo-algorithm name under which the global DRDS sequence (one per
-#: universe size, independent of any channel set) is stored.
+#: Name recorded in the sidecar of a stored global DRDS sequence.
 GLOBAL_SEQUENCE_ALGORITHM = "drds-global"
+
+#: The package source that builds the global DRDS sequence.
+_SEQUENCE_SOURCE = "baselines/drds.py"
 
 
 def store_key(
     channels: Iterable[int], n: int, algorithm: str, seed: int = 0
 ) -> tuple[frozenset[int], int, str, int]:
-    """Canonical schedule cache key, shared with ``SweepRunner``.
+    """Canonical schedule cache key, used by ``SweepRunner``.
 
     Deterministic algorithms ignore the seed, so it collapses to ``-1``
     for everything except the randomized baseline — two agents with the
@@ -98,10 +95,13 @@ def store_key(
     )
 
 
-def key_digest(key: tuple[frozenset[int], int, str, int]) -> str:
-    """Stable 16-hex-digit digest of a :func:`store_key` — the filename stem."""
-    channels, n, algorithm, seed = key
-    text = f"{algorithm}|n={n}|seed={seed}|channels={sorted(channels)}"
+def sequence_digest(n: int) -> str:
+    """Stable 16-hex-digit name of the stored global sequence for ``n``.
+
+    Folds in the digest of the source that builds the sequence, so an
+    edited construction names a new record.
+    """
+    text = f"{GLOBAL_SEQUENCE_ALGORITHM}|n={n}|source={source_digest(_SEQUENCE_SOURCE)}"
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -110,9 +110,9 @@ def build_plain(
 ) -> Schedule:
     """Build a schedule directly, with no store involved.
 
-    This is the store's miss path and the no-store path of
-    ``SweepRunner`` — one place that knows how to turn a cache key back
-    into a live schedule (the paper's constructions via
+    The no-store path of ``SweepRunner`` and the store's path for every
+    algorithm but ``drds`` — one place that knows how to turn a cache
+    key back into a live schedule (the paper's constructions via
     :func:`repro.build_schedule`, the seeded randomized baseline via
     :func:`repro.baselines.build_baseline`).
     """
@@ -128,14 +128,14 @@ def build_plain(
 class StoredSchedule(Schedule):
     """A schedule backed by an externally owned period table.
 
-    Wraps a period array — typically a read-only memmap handed out by
-    :class:`ScheduleStore`, but any 1-D integer array works — and
-    ``period_table()`` returns the wrapped array itself (int64 input is
-    used as-is; other dtypes are converted, which copies, once at
-    construction).  This is also the adapter
-    :func:`repro.core.stream.ttr_sweep` uses to accept raw arrays in
-    place of schedule objects; when ``channels`` is not supplied it is
-    derived lazily from the table, so sweep-only wrappers never scan it.
+    Wraps a period array — a plain array or a read-only memmap; any 1-D
+    integer array works — and ``period_table()`` returns the wrapped
+    array itself (int64 input is used as-is; other dtypes are
+    converted, which copies, once at construction).  This is the
+    adapter :func:`repro.core.stream.ttr_sweep` uses to accept raw
+    arrays in place of schedule objects; when ``channels`` is not
+    supplied it is derived lazily from the table, so sweep-only
+    wrappers never scan it.
     """
 
     def __init__(
@@ -167,10 +167,9 @@ class StoredSchedule(Schedule):
         """Slice the wrapped table directly — a view when possible.
 
         Windows that stay inside one period come back as zero-copy
-        slices; for a memmap attached from a :class:`ScheduleStore`
-        that means the sweep kernel's tiles read straight off disk
-        (the OS page cache shares the pages across processes).  Windows
-        that wrap fall back to one modular gather.
+        slices; for a memmap that means the sweep kernel's tiles read
+        straight off disk (the OS page cache shares the pages across
+        processes).  Windows that wrap fall back to one modular gather.
         """
         if stop < start:
             raise ValueError(f"empty window: start={start}, stop={stop}")
@@ -181,8 +180,8 @@ class StoredSchedule(Schedule):
         return self._table[indices]
 
     def channel_gather(self, indices: np.ndarray) -> np.ndarray:
-        """One fancy index into the wrapped table — for a store memmap
-        the touched pages come straight off disk (or the shared OS page
+        """One fancy index into the wrapped table — for a memmap the
+        touched pages come straight off disk (or the shared OS page
         cache), never the whole table."""
         indices = np.asarray(indices, dtype=np.int64)
         return self._table[indices % self.period]
@@ -200,7 +199,7 @@ def coerce_schedule(x: Schedule | np.ndarray) -> Schedule:
 
     The input adapter of :func:`repro.core.stream.ttr_sweep`: either
     side may be a :class:`~repro.core.schedule.Schedule` or a raw 1-D
-    period array (e.g. a store memmap), and a raw array becomes a
+    period array (e.g. a memmap), and a raw array becomes a
     :class:`StoredSchedule` view over it — int64 input is never copied.
     """
     if isinstance(x, Schedule):
@@ -209,12 +208,12 @@ def coerce_schedule(x: Schedule | np.ndarray) -> Schedule:
 
 
 class ScheduleStore:
-    """Materialize-once, attach-many store of schedule period tables.
+    """Build-once, attach-many store of global DRDS sequences.
 
     A view over one :class:`~repro.core.blobs.BlobStore` rooted at
-    ``store_dir``: each table is a ``<digest>.json`` metadata sidecar
-    plus the ``<digest>.npy`` table, its marker.  ``memory_cap`` bounds
-    every byte on disk, sidecars and ``.npy`` headers included.
+    ``store_dir``: each record is a ``<digest>.json`` metadata sidecar
+    plus the ``<digest>.npy`` sequence, its marker.  ``memory_cap``
+    bounds every byte on disk, sidecars and ``.npy`` headers included.
     ``read_roots`` are searched when the primary misses (say, a
     read-only NFS corpus); builds always land in the primary root.
     """
@@ -231,10 +230,7 @@ class ScheduleStore:
         self.memory_cap = self._blobs.memory_cap
         self.builds = 0
         self.attaches = 0
-        self.bypasses = 0
         self.evictions = 0
-        self.global_builds = 0
-        self.global_attaches = 0
         self._globals: dict[int, np.ndarray] = {}
 
     def _bump(self, name: str, delta: int = 1) -> None:
@@ -254,85 +250,61 @@ class ScheduleStore:
         algorithm: str,
         seed: int = 0,
     ) -> Schedule:
-        """Attach the stored table for this key, building it on first use.
+        """Build one agent's schedule in-process.
 
-        Returns a :class:`StoredSchedule` over a read-only memmap, or —
-        when the table is too large to store (period above
-        ``STORE_PERIOD_LIMIT`` or bigger than the whole cap) — a plain
-        in-process schedule, counted in ``bypasses``.  A table evicted
-        by another process between lookup and attach is rebuilt.
+        ``drds`` projects the store's global sequence for ``n`` (see
+        :meth:`global_sequence`); every other algorithm is
+        :func:`build_plain`.  Nothing per set is read or written.
         """
-        key = store_key(channels, n, algorithm, seed)
-        digest = key_digest(key)
-        table = self._blobs.read(digest, _attach)
-        if table is not None:
-            self._bump("attaches")
-            return StoredSchedule(table, key[0])
-        schedule = self._build_for_store(key[0], n, algorithm, seed)
-        # The period check comes first: an overlong period is never
-        # materialized.
-        if schedule.period > STORE_PERIOD_LIMIT or not self._put(
-            digest, key, schedule.period_table()
-        ):
-            self._bump("bypasses")
-            return schedule
-        self._bump("builds")
-        table = self._blobs.read(digest, _attach)
-        # None: evicted by a concurrent process in the write-to-attach
-        # window; the in-process schedule is still correct.
-        return schedule if table is None else StoredSchedule(table, key[0])
+        if algorithm == "drds":
+            from repro.baselines.drds import DRDSSchedule
 
-    def contains(
-        self,
-        channels: Iterable[int],
-        n: int,
-        algorithm: str,
-        seed: int = 0,
-    ) -> bool:
-        """Whether the table for this key is stored in any root."""
-        return self._blobs.exists(key_digest(store_key(channels, n, algorithm, seed)))
+            return DRDSSchedule(channels, n, global_sequence=self.global_sequence(n))
+        return build_plain(channels, n, algorithm, seed)
 
     def global_sequence(self, n: int) -> np.ndarray:
         """The global DRDS channel sequence for universe ``n``, shared.
 
-        The ``45 n^2 + 8n``-slot sequence is *independent of any channel
-        set*, so it is materialized once per universe size (under
-        :data:`GLOBAL_SEQUENCE_ALGORITHM`) and attached read-only by
-        every later caller; per-set ``drds`` tables project it.
-        Counted in ``global_builds`` / ``global_attaches``, apart from
-        the per-set counters.  A sequence that cannot be stored is
-        built in-process; the per-set miss that needed it is the one
-        ``bypasses`` event.
+        Attached read-only when a root holds it; otherwise built, stored
+        and attached.  Remembered per store instance, so each ``n`` is
+        looked up once.  A sequence that cannot be stored (longer than
+        ``STORE_PERIOD_LIMIT`` or larger than the cap) is kept
+        in-process and counted nowhere.
         """
         cached = self._globals.get(n)
         if cached is not None:
             return cached
-        key = store_key((), n, GLOBAL_SEQUENCE_ALGORITHM)
-        digest = key_digest(key)
+        digest = sequence_digest(n)
         sequence = self._blobs.read(digest, _attach)
         if sequence is not None:
-            self._bump("global_attaches")
+            self._bump("attaches")
         else:
             from repro.baselines.drds import build_global_sequence
 
             sequence = np.ascontiguousarray(build_global_sequence(n), dtype=np.int64)
-            if sequence.size <= STORE_PERIOD_LIMIT and self._put(digest, key, sequence):
-                self._bump("global_builds")
+            if sequence.size <= STORE_PERIOD_LIMIT and self._put(digest, n, sequence):
+                self._bump("builds")
+                # None: evicted by a concurrent process in the
+                # write-to-attach window; the built array is still right.
                 attached = self._blobs.read(digest, _attach)
                 if attached is not None:
                     sequence = attached
         self._globals[n] = sequence
         return sequence
 
+    def contains(self, n: int) -> bool:
+        """Whether any root holds the global sequence for universe ``n``."""
+        return self._blobs.exists(sequence_digest(n))
+
     # -- inspection ------------------------------------------------------
 
     def entries(self) -> list[dict]:
-        """Metadata of every primary-root table, least-recently-attached first.
+        """Metadata of every primary-root record, least-recently-attached first.
 
-        Each entry carries ``digest``, ``algorithm``, ``n``, ``seed``,
-        ``channels`` and ``period`` from the sidecar, plus ``nbytes``
-        (bytes on disk) and ``last_used`` (the table file's mtime,
-        refreshed on every attach).
+        Each entry carries the sidecar's ``digest``, ``algorithm``,
+        ``n``, ``period`` and ``source``, plus ``nbytes`` (bytes on
+        disk) and ``last_used`` (the ``.npy`` file's mtime, refreshed on
+        every attach).
         """
         rows = []
         for digest, nbytes, last_used in self._blobs.lru():
@@ -345,23 +317,16 @@ class ScheduleStore:
         return rows
 
     def total_bytes(self) -> int:
-        """Bytes on disk in the primary root: tables, headers and sidecars."""
+        """Bytes on disk in the primary root: sequences, headers and sidecars."""
         return self._blobs.usage()[1]
 
     def stats(self) -> dict[str, int]:
-        """Counter snapshot: builds, attaches, bypasses, evictions, entries, bytes.
-
-        ``global_builds`` / ``global_attaches`` track the shared global
-        DRDS sequence separately from the per-set table counters.
-        """
+        """Counter snapshot: builds, attaches, evictions, entries, bytes."""
         entries, total_bytes = self._blobs.usage()
         return {
             "builds": self.builds,
             "attaches": self.attaches,
-            "bypasses": self.bypasses,
             "evictions": self.evictions,
-            "global_builds": self.global_builds,
-            "global_attaches": self.global_attaches,
             "entries": entries,
             "total_bytes": total_bytes,
         }
@@ -369,10 +334,10 @@ class ScheduleStore:
     # -- eviction --------------------------------------------------------
 
     def evict(self, digest: str) -> bool:
-        """Drop one primary-root table by digest; returns whether it existed.
+        """Drop one primary-root record by digest; returns whether it existed.
 
         Leftovers of a killed write go too.  Attached memmaps stay valid
-        (the mapping holds the pages); only future ``get`` calls rebuild.
+        (the mapping holds the pages); only later lookups rebuild.
         """
         existed = self._blobs.evict(digest)
         if existed:
@@ -380,56 +345,32 @@ class ScheduleStore:
         return existed
 
     def clear(self) -> int:
-        """Evict every table and leftover; returns how many tables were dropped."""
+        """Evict every record and leftover; returns how many records were dropped."""
         return sum(self.evict(digest) for digest in self._blobs.scan())
 
     # -- internals -------------------------------------------------------
 
-    def _build_for_store(
-        self, channels: frozenset[int], n: int, algorithm: str, seed: int
-    ) -> Schedule:
-        """The store's miss path: build one schedule for materialization.
-
-        ``drds`` schedules are built over the store's shared global
-        sequence (see :meth:`global_sequence`) so the expensive
-        ``45 n^2 + 8n``-slot construction happens once per universe
-        size, not once per channel set; everything else defers to
-        :func:`build_plain`.
-        """
-        if algorithm == "drds":
-            from repro.baselines.drds import DRDSSchedule
-
-            return DRDSSchedule(channels, n, global_sequence=self.global_sequence(n))
-        return build_plain(channels, n, algorithm, seed)
-
-    def _put(
-        self,
-        digest: str,
-        key: tuple[frozenset[int], int, str, int],
-        table: np.ndarray,
-    ) -> bool:
-        """Store one table and its sidecar; False if it can never fit the cap.
+    def _put(self, digest: str, n: int, sequence: np.ndarray) -> bool:
+        """Store one sequence and its sidecar; False if it can never fit the cap.
 
         The cap counts the bytes the files will take: the sidecar, the
-        ``.npy`` header and the table itself.
+        ``.npy`` header and the sequence itself.
         """
-        channels, n, algorithm, seed = key
-        table = np.ascontiguousarray(table, dtype=np.int64)
         meta = json.dumps(
-            {"digest": digest, "algorithm": algorithm, "n": n, "seed": seed,
-             "channels": sorted(channels), "period": int(table.size)},
+            {"digest": digest, "algorithm": GLOBAL_SEQUENCE_ALGORITHM, "n": n,
+             "period": int(sequence.size), "source": source_digest(_SEQUENCE_SOURCE)},
             indent=2,
         ).encode()
         header = io.BytesIO()
         np.lib.format.write_array_header_1_0(
-            header, np.lib.format.header_data_from_array_1_0(table)
+            header, np.lib.format.header_data_from_array_1_0(sequence)
         )
         evicted = self._blobs.put(
             digest,
-            len(meta) + header.tell() + table.nbytes,
+            len(meta) + header.tell() + sequence.nbytes,
             {
                 ".json": lambda handle: handle.write(meta),
-                ".npy": lambda handle: np.save(handle, table),
+                ".npy": lambda handle: np.save(handle, sequence),
             },
         )
         if evicted:
@@ -438,5 +379,5 @@ class ScheduleStore:
 
 
 def _attach(path: Path) -> np.ndarray:
-    """mmap one stored table read-only."""
+    """mmap one stored sequence read-only."""
     return np.load(path, mmap_mode="r")

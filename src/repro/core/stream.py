@@ -22,7 +22,7 @@ The kernel never materializes a period table; it walks fixed-byte
   :meth:`~repro.core.schedule.Schedule.channel_block` /
   :meth:`~repro.core.schedule.Schedule.channel_gather`, the chunk APIs
   every baseline implements (vectorized closed forms for the global
-  sequences; memmap slices for store-attached tables; a modular index
+  sequences; slices of wrapped arrays such as memmaps; a modular index
   into the cached period array otherwise) — so a new algorithm is
   certified as soon as it implements them;
 * a shift only enters the comparison through its phase-offset pair

@@ -13,14 +13,14 @@ as numpy columns instead:
   simulation runs over ``R`` cohort rows rather than ``N`` agents, and
   agent-pair results expand combinatorially afterwards (10k agents
   sharing a few hundred distinct schedules pay for each row — and each
-  period table, including store memmaps — exactly once).
+  schedule — exactly once).
 * **Slot-major channel matrix.**  Time advances in chunks, and each
   chunk in time blocks that start at 256 slots and double up to the
   chunk width.  A block assembles a ``(slots, active cohorts)`` matrix
   of dense channel ids with one
   :meth:`~repro.core.schedule.Schedule.channel_gather` call per
   distinct schedule — the same bulk hook the sweep kernel tiles with,
-  so store-backed schedules answer from their shared memmap — and an
+  so DRDS schedules answer from the store's shared memmap — and an
   early stop ends assembly too.
 * **Bitset rendezvous detection.**  Pending cohort pairs are a packed
   ``uint64`` bitset, one row per cohort holding each pair once (in its

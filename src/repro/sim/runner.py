@@ -17,11 +17,10 @@ The heavy lifting happens in :class:`SweepRunner`:
   ``concurrent.futures.ProcessPoolExecutor`` (worker count configurable,
   default ``os.cpu_count()``); small jobs stay serial, where the
   schedule cache and warm numpy buffers beat process startup;
-* with a :class:`~repro.core.store.ScheduleStore` attached, period
-  tables are materialized **once** (the parent prewarms every distinct
-  key before fanning out) and workers attach read-only memmap views
-  instead of rebuilding tables per process — the enabling layer for
-  dense-universe sweeps, where table construction dominates;
+* with a :class:`~repro.core.store.ScheduleStore` attached, the DRDS
+  global sequence is built **once** (the parent prewarms it before
+  fanning out) and workers attach a read-only memmap of it instead of
+  rebuilding it per process;
 * with a :class:`~repro.core.results.ResultStore` attached, whole
   *measurements* persist: a repeat query is answered from disk before
   any schedule is built, which is the serving layer behind
@@ -143,12 +142,12 @@ class SweepRunner:
 
     **Store contract.** With ``store=`` (a
     :class:`~repro.core.store.ScheduleStore` or a directory path), the
-    local cache's miss path goes through the store: period tables are
-    materialized into the store exactly once per distinct key and every
-    later lookup — same runner, another runner, another *process* —
-    attaches a read-only memmap view instead of rebuilding.  Parallel
-    ``measure_instance`` calls prewarm every key in the parent before
-    fanning out, so worker processes never build at all; the store's
+    local cache's miss path goes through the store: ``drds`` schedules
+    project the global sequence the store built once per ``n``, and
+    every later lookup — same runner, another runner, another
+    *process* — attaches it read-only instead of rebuilding.  Parallel
+    ``measure_instance`` calls prewarm it in the parent before fanning
+    out, so worker processes never build it; the store's
     ``builds``/``attaches`` counters certify it.
 
     **Sweep contract.** Every pair the runner measures (workers
@@ -272,37 +271,32 @@ class SweepRunner:
         seed: int = 0,
         agents: list[int] | None = None,
     ) -> int:
-        """Materialize every schedule a sweep over ``pairs`` will need.
+        """Store what a sweep over ``pairs`` will share before any fan-out.
 
-        Touches each agent once with the same per-agent seeds
-        ``measure_pair`` uses, so each distinct cache key is built
-        exactly once (into the store, when one is attached) before any
-        fan-out.  ``agents`` overrides the pair-derived agent selection
-        (e.g. warm everything regardless of overlaps).  Returns the
-        number of distinct keys touched.
+        With a store attached and ``drds``, builds or attaches the
+        global sequence for ``instance.n`` here, so workers only attach
+        it; a sequence the store cannot keep (memory cap or period
+        limit) warns that every worker will rebuild it.  Other
+        algorithms store nothing.  ``agents`` overrides the
+        pair-derived agent selection.  Returns the number of distinct
+        schedule keys (per-agent seeds as ``measure_pair`` uses them)
+        the sweep touches.
         """
         if agents is None:
             if pairs is None:
                 pairs = instance.overlapping_pairs()
             agents = sorted({index for pair in pairs for index in pair})
-        keys = set()
-        for i in agents:
-            agent_seed = seed * 1000 + i
-            keys.add(store_key(instance.sets[i], instance.n, algorithm, agent_seed))
-            self.schedule_for(instance.sets[i], instance.n, algorithm, agent_seed)
-        if self.store is not None:
-            resident = sum(
-                self.store.contains(channels, n, algo, agent_seed)
-                for channels, n, algo, agent_seed in keys
-            )
-            if resident < len(keys):
-                # The sweep's working set exceeds the store cap (or the
-                # tables bypassed it): workers will rebuild what fell
-                # out, defeating the built-once contract.
+        keys = {
+            store_key(instance.sets[i], instance.n, algorithm, seed * 1000 + i)
+            for i in agents
+        }
+        if self.store is not None and algorithm == "drds":
+            self.store.global_sequence(instance.n)
+            if not self.store.contains(instance.n):
                 warnings.warn(
-                    f"schedule store holds only {resident}/{len(keys)} of "
-                    "this sweep's tables (memory cap or period limit); "
-                    "workers will rebuild the rest per process",
+                    "schedule store cannot keep the DRDS global sequence "
+                    f"for n={instance.n} (memory cap or period limit); "
+                    "workers will rebuild it per process",
                     RuntimeWarning,
                     stacklevel=2,
                 )
@@ -463,8 +457,8 @@ class SweepRunner:
         if pool_workers > 1:
             store_handle = None
             if self.store is not None:
-                # Build each distinct period table exactly once, here in
-                # the parent; workers then only ever attach.  The handle
+                # Build the shared global sequence once, here in the
+                # parent; workers then only ever attach it.  The handle
                 # carries the memory cap so worker-side stores honor it.
                 self.prewarm(instance, algorithm, pairs, seed=seed)
                 store_handle = (

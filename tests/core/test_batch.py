@@ -202,12 +202,14 @@ class TestAutoDispatchShape:
         assert {s: profile[s] for s in sample} == _scalar(a, b, sample, horizon)
 
     def test_stored_schedules_count_as_warm(self, tmp_path):
-        from repro.core.store import ScheduleStore
+        from repro.core.store import ScheduleStore, StoredSchedule
 
+        ScheduleStore(tmp_path).global_sequence(16)
         store = ScheduleStore(tmp_path)
-        store.get([1, 5], 16, "crseq")
-        attached = store.get([1, 5], 16, "crseq")
+        attached = StoredSchedule(store.global_sequence(16))
         assert attached.has_warm_table()
+        # A store-backed per-set schedule is not: its table is never built.
+        assert not store.get([1, 5], 16, "drds").has_warm_table()
 
     def test_warmth_probe_semantics(self):
         assert CyclicSchedule([1, 2, 3]).has_warm_table()

@@ -3,33 +3,33 @@
 ``ScheduleStore`` and ``ResultStore`` are views over one
 :class:`repro.core.blobs.BlobStore`; every check here runs against both
 views through the parametrized ``view`` fixture.  View-specific
-behaviour (memmap attach, the global DRDS sequence, bypasses, query
-digests, environment keys) stays in ``test_store.py`` and
-``test_results.py``.
+behaviour (memmap attach, source-keyed digests, query digests,
+environment keys) stays in ``test_store.py`` and ``test_results.py``.
 """
 
 from __future__ import annotations
 
 import gc
-import itertools
 import multiprocessing
 import os
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core import blobs
 from repro.core.results import ResultStore, pair_query, result_digest
-from repro.core.store import ScheduleStore, StoredSchedule, key_digest, store_key
-
-# Two-channel sets of single digits: every crseq table at n=16 has the
-# same period, so all these records take the same bytes on disk.
-_SETS = list(itertools.combinations(range(1, 11), 2))
+from repro.core.store import ScheduleStore, sequence_digest
 
 
 class _ScheduleView:
-    """Records are crseq tables at n=16, one per channel set."""
+    """Records are global DRDS sequences, one per universe size.
+
+    Record ``i`` is the sequence for ``n = 2 + i``, so records grow
+    with ``i``: the byte caps below are sums of the records they must
+    hold.
+    """
 
     marker = ".npy"
     sidecars = (".json",)
@@ -39,22 +39,28 @@ class _ScheduleView:
         return ScheduleStore(root, **kwargs)
 
     def digest(self, i):
-        return key_digest(store_key(_SETS[i], 16, "crseq"))
+        return sequence_digest(2 + i)
 
     def put(self, store, i):
-        store.get(_SETS[i], 16, "crseq")
+        store.global_sequence(2 + i)
 
     def hit(self, store, i):
-        """Read record ``i``; whether it came from storage."""
-        attaches = store.attaches
-        schedule = store.get(_SETS[i], 16, "crseq")
-        if store.attaches == attaches:
+        """Read record ``i``; whether it came from storage.
+
+        A store remembers the sequences it has handed out, so the read
+        goes through a fresh view of the same roots.
+        """
+        fresh = ScheduleStore(
+            store.store_dir, store.memory_cap, store.read_roots
+        )
+        sequence = fresh.global_sequence(2 + i)
+        if fresh.attaches == 0:
             return False
-        assert isinstance(schedule, StoredSchedule)
+        assert isinstance(sequence, np.memmap)
         return True
 
     def contains(self, store, i):
-        return store.contains(_SETS[i], 16, "crseq")
+        return store.contains(2 + i)
 
     def evict(self, store, i):
         return store.evict(self.digest(i))
@@ -106,9 +112,11 @@ def _disk_bytes(root: Path) -> int:
     return sum(p.stat().st_size for p in _files(root))
 
 
-def _record_bytes(view, scratch: Path) -> int:
-    """Bytes one record takes on disk (every test record takes the same)."""
-    view.put(view.open(scratch), 0)
+def _record_bytes(view, scratch: Path, *indices: int) -> int:
+    """Bytes the records ``indices`` take on disk together."""
+    store = view.open(scratch)
+    for i in indices:
+        view.put(store, i)
     return _disk_bytes(scratch)
 
 
@@ -133,7 +141,7 @@ class TestContract:
         assert _marker(view, tmp_path, 0) in _files(tmp_path)
 
     def test_read_refreshes_lru_position(self, view, tmp_path):
-        cap = 2 * _record_bytes(view, tmp_path / "probe")
+        cap = _record_bytes(view, tmp_path / "probe", 0, 2)
         store = view.open(tmp_path / "store", memory_cap=cap)
         view.put(store, 0)
         view.put(store, 1)
@@ -161,7 +169,7 @@ class TestContract:
     def test_lru_is_shared_by_instances_on_one_directory(self, view, tmp_path):
         # The LRU lives in the files: B's read of the oldest record must
         # count as recency for A's next eviction.
-        cap = 2 * _record_bytes(view, tmp_path / "probe")
+        cap = _record_bytes(view, tmp_path / "probe", 0, 2)
         a = view.open(tmp_path / "store", memory_cap=cap)
         view.put(a, 0)
         view.put(a, 1)
@@ -174,19 +182,21 @@ class TestContract:
         assert not view.contains(a, 1)
 
     def test_cap_bounds_bytes_on_disk(self, view, tmp_path):
-        size = _record_bytes(view, tmp_path / "probe")
+        cap = _record_bytes(view, tmp_path / "probe", 1, 2)
         root = tmp_path / "store"
-        store = view.open(root, memory_cap=2 * size)
+        store = view.open(root, memory_cap=cap)
         view.put(store, 0)
         view.put(store, 1)
         assert store.evictions == 0
-        assert store.total_bytes() == _disk_bytes(root) == 2 * size
+        assert store.total_bytes() == _disk_bytes(root) == _record_bytes(
+            view, tmp_path / "pair", 0, 1
+        )
         view.put(store, 2)
         assert store.evictions == 1
-        assert store.total_bytes() == _disk_bytes(root) <= 2 * size
+        assert store.total_bytes() == _disk_bytes(root) <= cap
 
     def test_record_larger_than_cap_is_not_stored(self, view, tmp_path):
-        size = _record_bytes(view, tmp_path / "probe")
+        size = _record_bytes(view, tmp_path / "probe", 0)
         store = view.open(tmp_path / "store", memory_cap=size - 1)
         view.put(store, 0)
         assert not view.contains(store, 0)
@@ -273,9 +283,9 @@ class TestContract:
                 return real_write(path, torn)
             return real_write(path, write)
 
-        size = _record_bytes(view, tmp_path / "probe")
+        cap = _record_bytes(view, tmp_path / "probe", 0, 2)
         root = tmp_path / "store"
-        store = view.open(root, memory_cap=2 * size)
+        store = view.open(root, memory_cap=cap)
         view.put(store, 0)
         monkeypatch.setattr(blobs, "atomic_write", dying_marker_write)
         with pytest.raises(OSError, match="killed"):
@@ -291,7 +301,7 @@ class TestContract:
         view.put(store, 2)
         assert store.evictions == 0
         assert view.contains(store, 0) and view.contains(store, 2)
-        assert store.total_bytes() == _disk_bytes(root) == 2 * size
+        assert store.total_bytes() == _disk_bytes(root) == cap
         # clear() removes a leftover too.
         roomy = view.open(root)
         killed.clear()

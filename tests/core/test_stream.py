@@ -136,9 +136,9 @@ def test_huge_period_streams_without_table():
 
 
 def test_raw_arrays_and_memmaps_stream_off_the_table(tmp_path):
-    """Raw period arrays — including read-only store memmaps — feed the
+    """Raw period arrays — including a read-only store memmap — feed the
     kernel's tiles directly, bit-identical to schedule objects."""
-    from repro.core.store import ScheduleStore
+    from repro.core.store import ScheduleStore, StoredSchedule
 
     store = ScheduleStore(tmp_path)
     a = store.get([1, 5, 9], 16, "drds")
@@ -146,9 +146,12 @@ def test_raw_arrays_and_memmaps_stream_off_the_table(tmp_path):
     shifts = list(range(-40, 40))
     expected = _scalar(a, b, shifts, 50_000)
     assert ttr_sweep(a, b, shifts, 50_000) == expected
-    table_a, table_b = a.period_table(), b.period_table()
-    assert isinstance(table_a, np.memmap)
-    assert ttr_sweep(table_a, table_b, shifts, 50_000) == expected
+    assert ttr_sweep(a.period_table(), b.period_table(), shifts, 50_000) == expected
+    sequence = ScheduleStore(tmp_path).global_sequence(16)
+    assert isinstance(sequence, np.memmap)
+    assert ttr_sweep(sequence, b, shifts, 50_000) == _scalar(
+        StoredSchedule(sequence), b, shifts, 50_000
+    )
 
 
 def test_sparse_offsets_use_per_row_generation():

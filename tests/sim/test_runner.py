@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import warnings
+
 import pytest
 
 from repro.core.schedule import CyclicSchedule
-from repro.core.store import ScheduleStore, store_key
+from repro.core.store import ScheduleStore
 from repro.sim import runner
 from repro.sim.workloads import Instance, random_subsets, single_overlap
 
@@ -157,46 +159,54 @@ class TestSweepRunnerStore:
         assert plain == stored
 
     def test_parallel_sweep_builds_each_table_exactly_once(self, tmp_path):
-        # The store's acceptance contract: one build per distinct
-        # (channels, n, algorithm, seed) key per sweep, asserted via the
-        # build counter — workers only attach what the parent prewarmed.
+        # The store's acceptance contract: one build of the DRDS global
+        # sequence per sweep, in the parent — workers only attach it.
         inst = random_subsets(16, 8, 5, seed=4)  # 10 pairs, 5 distinct sets
         engine = runner.SweepRunner(workers=2, store=tmp_path)
-        engine.measure_instance(inst, "paper", horizon=60_000, dense=2, probes=2)
-        distinct = {
-            store_key(s, inst.n, "paper", 0) for s in inst.sets
-        }
-        assert engine.store.builds == len(distinct)
-        assert len(engine.store.entries()) == len(distinct)
+        plain = runner.SweepRunner(workers=2).measure_instance(
+            inst, "drds", horizon=60_000, dense=2, probes=2
+        )
+        stored = engine.measure_instance(
+            inst, "drds", horizon=60_000, dense=2, probes=2
+        )
+        assert stored == plain
+        assert (engine.store.builds, engine.store.attaches) == (1, 0)
+        assert [m["n"] for m in engine.store.entries()] == [16]
         # A second sweep over the same instance builds nothing new.
-        engine.measure_instance(inst, "paper", horizon=60_000, dense=2, probes=2)
-        assert engine.store.builds == len(distinct)
+        engine.measure_instance(inst, "drds", horizon=60_000, dense=2, probes=2)
+        assert engine.store.builds == 1
 
     def test_prewarm_touches_each_distinct_key_once(self, tmp_path):
         inst = random_subsets(16, 8, 5, seed=4)
         engine = runner.SweepRunner(workers=1, store=tmp_path)
-        touched = engine.prewarm(inst, "drds")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a stored sequence never warns
+            touched = engine.prewarm(inst, "drds")
         assert touched == len(set(inst.sets))
-        assert engine.store.builds == len(set(inst.sets))
-        # Prewarming again attaches (store) / hits (local cache) only.
+        assert engine.store.builds == 1
+        # Prewarming again neither builds nor reads: the store remembers.
         engine.prewarm(inst, "drds")
-        assert engine.store.builds == len(set(inst.sets))
+        assert (engine.store.builds, engine.store.attaches) == (1, 0)
+        # Other algorithms store nothing.
+        assert engine.prewarm(inst, "crseq") == len(set(inst.sets))
+        assert len(engine.store.entries()) == 1
 
     def test_prewarm_warns_when_working_set_exceeds_cap(self, tmp_path):
-        # 5 distinct paper tables at n=16 do not fit under a tiny cap:
-        # prewarming must warn that workers will rebuild the evicted rest.
+        # The DRDS global sequence at n=16 (93 KB) does not fit under a
+        # tiny cap: prewarming must warn that workers will rebuild it.
         inst = random_subsets(16, 8, 5, seed=4)
         engine = runner.SweepRunner(
             workers=1, store=ScheduleStore(tmp_path, memory_cap=2048)
         )
         with pytest.warns(RuntimeWarning, match="workers will rebuild"):
-            engine.prewarm(inst, "paper")
+            engine.prewarm(inst, "drds")
 
     def test_random_baseline_store_keys_by_seed(self, tmp_path):
         inst = Instance(8, [frozenset({1, 2}), frozenset({2, 3})], "manual")
         engine = runner.SweepRunner(workers=1, store=tmp_path)
         engine.measure_pair(inst, "random", (0, 1), horizon=100_000, dense=4, probes=4)
-        assert engine.store.builds == 2  # distinct per-agent seeds
+        assert engine.cache_misses == 2  # distinct per-agent seeds
+        assert engine.store.entries() == []  # built in-process, never stored
         plain = runner.SweepRunner(workers=1)
         expected = plain.measure_pair(
             inst, "random", (0, 1), horizon=100_000, dense=4, probes=4

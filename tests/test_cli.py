@@ -250,18 +250,22 @@ class TestSweepCommand:
 
     def test_sweep_store_cap_is_honored(self, capsys, tmp_path):
         store_dir = str(tmp_path / "store")
-        code = main(
-            ["sweep", "--agents", "1,5/5,9/1,9", "--universe", "16",
-             "--algorithm", "crseq", "--dense", "4", "--probes", "4",
-             "--store-dir", store_dir, "--store-cap", "7000"]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        # crseq tables at n=16 are ~7 KiB each: under a 7000-byte cap at
-        # most one survives on disk at a time.
+        args = ["sweep", "--agents", "1,5/5,9/1,9", "--universe", "16",
+                "--algorithm", "drds", "--dense", "4", "--probes", "4",
+                "--store-dir", store_dir]
+        assert main(args + ["--store-cap", "7000"]) == 0
+        capped = capsys.readouterr().out
+        # The DRDS global sequence at n=16 is ~91 KiB: a 7000-byte cap
+        # keeps nothing on disk, and the sweep answers all the same.
         from repro.core.store import ScheduleStore
 
-        assert ScheduleStore(store_dir).total_bytes() <= 7000
+        assert ScheduleStore(store_dir).total_bytes() == 0
+        assert "0 built, 0 attached, 0 entries" in capped
+        assert main(args) == 0
+        roomy = capsys.readouterr().out
+        assert "1 built, 0 attached, 1 entries" in roomy
+        table = lambda out: out.split("\n\n")[0]  # noqa: E731
+        assert table(capped) == table(roomy)
 
     def test_sweep_reports_miss(self, capsys):
         # The dense prefix alternates 0, -1, 1, ...; dense=130 reaches
@@ -285,7 +289,7 @@ class TestStoreCommand:
         )
         out = capsys.readouterr().out
         assert code == 0
-        assert "3 built" in out
+        assert "1 built" in out
         code = main(
             ["sweep", "--agents", "1,5/5,9/1,9", "--universe", "16",
              "--algorithm", "drds", "--dense", "4", "--probes", "4",
@@ -293,27 +297,45 @@ class TestStoreCommand:
         )
         out = capsys.readouterr().out
         assert code == 0
-        assert "0 built, 3 attached" in out
+        assert "0 built, 1 attached, 1 entries" in out
+
+    def test_prewarm_stores_nothing_for_other_algorithms(self, capsys, tmp_path):
+        store_dir = str(tmp_path / "store")
+        code = main(
+            ["store", "prewarm", "--agents", "1,5/5,9", "--universe", "16",
+             "--algorithm", "crseq", "--store-dir", store_dir]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "agent1 [5, 9]: period 867" in out
+        assert "crseq schedules are built in-process" in out
+        assert "0 built, 0 already present, 0 entries" in out
 
     def test_inspect_lists_entries(self, capsys, tmp_path):
         store_dir = str(tmp_path / "store")
-        main(
-            ["store", "prewarm", "--agents", "1,5/5,9", "--universe", "16",
-             "--store-dir", store_dir]
-        )
+        for n in ("16", "8"):
+            main(
+                ["store", "prewarm", "--agents", "1,5/5,7", "--universe", n,
+                 "--algorithm", "drds", "--store-dir", store_dir]
+            )
         capsys.readouterr()
         code = main(["store", "inspect", "--store-dir", store_dir])
         out = capsys.readouterr().out
         assert code == 0
         assert "2 entries" in out
-        assert "digest" in out and "period" in out
+        header, _, *rows = out.split("\n\n")[0].splitlines()
+        assert header.split() == ["digest", "n", "period", "KiB"]
+        assert sorted(row.split()[1:3] for row in rows) == [
+            ["16", "11648"], ["8", "2944"]
+        ]
 
     def test_evict_all_and_by_digest(self, capsys, tmp_path):
         store_dir = str(tmp_path / "store")
-        main(
-            ["store", "prewarm", "--agents", "1,5/5,9", "--universe", "16",
-             "--store-dir", store_dir]
-        )
+        for n in ("16", "8"):
+            main(
+                ["store", "prewarm", "--agents", "1,5/5,7", "--universe", n,
+                 "--algorithm", "drds", "--store-dir", store_dir]
+            )
         capsys.readouterr()
         code = main(["store", "evict", "--store-dir", store_dir, "--all"])
         out = capsys.readouterr().out
@@ -425,6 +447,36 @@ class TestServeCommand:
         assert code == 0
         assert (tmp_path / "store").is_dir()
 
+    def test_store_keeps_one_record_across_algorithms(self, capsys, tmp_path):
+        # One serve per algorithm into one store: only drds writes, one
+        # global-sequence record, and no answer depends on the store.
+        import json
+
+        from repro.cli import _ALGORITHMS
+        from repro.core.store import GLOBAL_SEQUENCE_ALGORITHM, ScheduleStore
+
+        store_dir = str(tmp_path / "store")
+        for algorithm in _ALGORITHMS:
+            args = [
+                "serve", "--a", "1,5,9", "--b", "5,12", "--universe", "16",
+                "--algorithm", algorithm, "--dense", "8", "--probes", "8",
+                "--json",
+            ]
+            answers = []
+            for extra in (["--store-dir", store_dir], []):
+                results = str(tmp_path / f"results-{algorithm}-{len(extra)}")
+                assert main(args + ["--results-dir", results] + extra) == 0
+                answer = json.loads(capsys.readouterr().out)
+                assert answer["source"] == "computed"
+                answers.append(
+                    (answer["digest"], answer["worst_ttr"], answer["stats"])
+                )
+            assert answers[0] == answers[1], algorithm
+        entries = ScheduleStore(store_dir).entries()
+        assert [(m["algorithm"], m["n"]) for m in entries] == [
+            (GLOBAL_SEQUENCE_ALGORITHM, 16)
+        ]
+
     def test_read_root_requires_store_dir(self, capsys, tmp_path):
         code = main(
             self.ARGS
@@ -502,16 +554,15 @@ class TestSweepServiceFlags:
         assert main(
             [
                 "store", "prewarm", "--agents", "1,5,9/5,12/1,12",
-                "--universe", "16", "--algorithm", "zos", "--store-dir", warm,
+                "--universe", "16", "--algorithm", "drds", "--store-dir", warm,
             ]
         ) == 0
         capsys.readouterr()
         local = str(tmp_path / "local")
-        assert main(
-            self.ARGS + ["--store-dir", local, "--read-root", warm]
-        ) == 0
+        args = [arg if arg != "zos" else "drds" for arg in self.ARGS]
+        assert main(args + ["--store-dir", local, "--read-root", warm]) == 0
         out = capsys.readouterr().out
-        assert "0 built, 3 attached" in out
+        assert "0 built, 1 attached, 0 entries" in out
 
 
 class TestSweepEnvironmentFlags:
