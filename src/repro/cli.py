@@ -27,6 +27,13 @@ numbers without writing Python:
 
 Each subcommand prints plain text; exit code 0 on success, 2 on usage
 errors (argparse convention).
+
+:func:`build_parser` registers every subcommand from one table
+(``_COMMANDS``: help line, add-arguments function, handler), and a
+subcommand's arguments are added when a command line selects it, so
+one ``serve`` query parses ``serve``'s arguments alone.  ``serve``
+reports the result cache's counters, which read no file: a cache hit
+reads its one record and lists no directory.
 """
 
 from __future__ import annotations
@@ -171,22 +178,41 @@ def _add_telemetry_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Deterministic blind rendezvous (Chen et al., ICDCS 2014)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class _LazyParser(argparse.ArgumentParser):
+    """A subcommand parser that adds its arguments on its first parse.
 
-    schedule = sub.add_parser("schedule", help="print an agent's hopping schedule")
+    :func:`build_parser` registers every subcommand with its help line,
+    but one command line selects one subcommand; the others stay empty,
+    ``-h`` included, so a ``serve`` query builds none of the other
+    eight subcommands' arguments.  ``-h`` is added first, as argparse
+    would, so ``--help`` (which goes through :meth:`parse_known_args`
+    too) and usage errors read as they would with every argument built
+    up front.
+    """
+
+    def __init__(self, *args, add_arguments=None, **kwargs):
+        super().__init__(*args, add_help=False, **kwargs)
+        self._add_arguments = add_arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._add_arguments is not None:
+            add_arguments, self._add_arguments = self._add_arguments, None
+            self.add_argument(
+                "-h", "--help", action="help", default=argparse.SUPPRESS,
+                help="show this help message and exit",
+            )
+            add_arguments(self)
+        return super().parse_known_args(args, namespace)
+
+
+def _schedule_args(schedule: argparse.ArgumentParser) -> None:
     schedule.add_argument("--channels", type=_parse_channels, required=True)
     schedule.add_argument("--universe", type=int, required=True)
     schedule.add_argument("--algorithm", choices=_ALGORITHMS, default="paper")
     schedule.add_argument("--slots", type=int, default=32)
 
-    rendezvous = sub.add_parser(
-        "rendezvous", help="when do two agents meet, and what is the bound"
-    )
+
+def _rendezvous_args(rendezvous: argparse.ArgumentParser) -> None:
     rendezvous.add_argument("--a", type=_parse_channels, required=True)
     rendezvous.add_argument("--b", type=_parse_channels, required=True)
     rendezvous.add_argument("--universe", type=int, required=True)
@@ -194,12 +220,14 @@ def build_parser() -> argparse.ArgumentParser:
     rendezvous.add_argument("--shift", type=int, default=0)
     rendezvous.add_argument("--horizon", type=int, default=1_000_000)
 
-    bound = sub.add_parser("bound", help="print the analytic guarantees")
+
+def _bound_args(bound: argparse.ArgumentParser) -> None:
     bound.add_argument("--k", type=int, required=True)
     bound.add_argument("--l", type=int, required=True)
     bound.add_argument("--universe", type=int, required=True)
 
-    simulate = sub.add_parser("simulate", help="multi-agent discovery simulation")
+
+def _simulate_args(simulate: argparse.ArgumentParser) -> None:
     simulate.add_argument(
         "--agents",
         type=_parse_agents,
@@ -211,10 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--horizon", type=int, default=200_000)
     simulate.add_argument("--wake-stagger", type=int, default=13)
 
-    netsim = sub.add_parser(
-        "netsim",
-        help="network-scale discovery simulation over a generated workload",
-    )
+
+def _netsim_args(netsim: argparse.ArgumentParser) -> None:
     netsim.add_argument(
         "--workload",
         choices=_NETSIM_WORKLOADS,
@@ -308,10 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_telemetry_arg(netsim)
 
-    sweep = sub.add_parser(
-        "sweep",
-        help="pairwise TTR sweep over relative wake-up shifts",
-    )
+
+def _sweep_args(sweep: argparse.ArgumentParser) -> None:
     sweep.add_argument(
         "--agents",
         type=_parse_agents,
@@ -409,11 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_telemetry_arg(sweep)
 
-    serve = sub.add_parser(
-        "serve",
-        help="answer one pair's worst-TTR query from the result cache, "
-        "computing and storing on a miss",
-    )
+
+def _serve_args(serve: argparse.ArgumentParser) -> None:
     serve.add_argument("--a", type=_parse_channels, required=True)
     serve.add_argument("--b", type=_parse_channels, required=True)
     serve.add_argument("--universe", type=int, required=True)
@@ -450,11 +471,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_telemetry_arg(serve)
 
-    store = sub.add_parser(
-        "store",
-        help="manage a shared schedule store (prewarm / inspect / evict)",
+
+def _store_args(store: argparse.ArgumentParser) -> None:
+    # Built with their arguments once ``store`` is selected, so the
+    # actions use the plain class (and its eager ``-h``).
+    store_sub = store.add_subparsers(
+        dest="action", required=True, parser_class=argparse.ArgumentParser
     )
-    store_sub = store.add_subparsers(dest="action", required=True)
 
     prewarm = store_sub.add_parser(
         "prewarm", help="store the DRDS global sequence ahead of a sweep"
@@ -478,10 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--digest", action="append", help="digest(s) to drop")
     group.add_argument("--all", action="store_true", help="drop every entry")
 
-    walk = sub.add_parser("walk", help="ASCII walk plot of a bit string")
-    walk.add_argument("--bits", required=True)
 
-    return parser
+def _walk_args(walk: argparse.ArgumentParser) -> None:
+    walk.add_argument("--bits", required=True)
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
@@ -851,7 +873,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"{s['entries']} entries ({s['total_bytes'] / 1024:.0f} KiB)"
         )
     if runner.results is not None:
-        print(_result_cache_line(runner.results))
+        print(_result_cache_line(runner.results, runner.results.stats()))
     return 0
 
 
@@ -895,17 +917,32 @@ def _sweep_degradation(
     return 0 if all(row["ok"] for row in reports) else 1
 
 
-def _result_cache_line(results: ResultStore) -> str:
-    """One-line counter summary of a result cache, shared by handlers."""
-    r = results.stats()
-    return (
-        f"result cache {results.store_dir}: {r['hits']} hits, "
-        f"{r['misses']} misses, {r['writes']} writes, "
-        f"{r['entries']} entries ({r['total_bytes'] / 1024:.1f} KiB)"
+def _result_cache_line(results: ResultStore, counters: dict[str, int]) -> str:
+    """One-line summary of a result cache, shared by handlers.
+
+    ``counters`` is :meth:`ResultStore.counters` or, where one directory
+    scan per run is affordable, :meth:`ResultStore.stats`, whose
+    ``entries`` and ``total_bytes`` the line then reports too.
+    """
+    line = (
+        f"result cache {results.store_dir}: {counters['hits']} hits, "
+        f"{counters['misses']} misses, {counters['writes']} writes"
     )
+    if "entries" in counters:
+        line += (
+            f", {counters['entries']} entries "
+            f"({counters['total_bytes'] / 1024:.1f} KiB)"
+        )
+    return line
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    """Answer one pair query from the result cache, computing on a miss.
+
+    The reported counters are :meth:`ResultStore.counters`, never
+    :meth:`ResultStore.stats`: a hit reads one record file and scans
+    no directory, and a miss scans once, in its write's cap check.
+    """
     if args.read_roots and args.store_dir is None:
         print("serve failed: --read-root requires --store-dir")
         return 2
@@ -955,7 +992,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     },
                     "source": source,
                     "latency_seconds": round(latency, 6),
-                    "cache": results.stats(),
+                    "cache": results.counters(),
                 },
                 sort_keys=True,
             )
@@ -970,7 +1007,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"mean {measured.stats.mean:.2f}, p95 {measured.stats.p95:.2f} "
         f"over {measured.stats.count} shifts"
     )
-    print(_result_cache_line(results))
+    print(_result_cache_line(results, results.counters()))
     return 0
 
 
@@ -1014,12 +1051,19 @@ def _cmd_store(args: argparse.Namespace) -> int:
     if args.action == "inspect":
         entries = store.entries()
         rows = [
-            [m["digest"], m["n"], m["period"], f"{m['nbytes'] / 1024:.0f}"]
+            [
+                m["digest"],
+                m.get("n", "-"),
+                m.get("period", "-"),
+                f"{m['nbytes'] / 1024:.0f}",
+                "yes" if m["live"] else "no",
+            ]
             for m in entries
         ]
-        print(format_table(["digest", "n", "period", "KiB"], rows))
+        print(format_table(["digest", "n", "period", "KiB", "live"], rows))
+        live = sum(m["live"] for m in entries)
         print(
-            f"\n{len(entries)} entries, "
+            f"\n{len(entries)} entries ({live} live), "
             f"{store.total_bytes() / 1024:.0f} KiB total"
         )
         return 0
@@ -1038,17 +1082,58 @@ def _cmd_walk(args: argparse.Namespace) -> int:
     return 0
 
 
-_HANDLERS = {
-    "schedule": _cmd_schedule,
-    "rendezvous": _cmd_rendezvous,
-    "bound": _cmd_bound,
-    "simulate": _cmd_simulate,
-    "netsim": _cmd_netsim,
-    "sweep": _cmd_sweep,
-    "serve": _cmd_serve,
-    "store": _cmd_store,
-    "walk": _cmd_walk,
+#: Subcommand -> (help line, add-arguments function, handler), in ``--help`` order.
+_COMMANDS = {
+    "schedule": ("print an agent's hopping schedule", _schedule_args, _cmd_schedule),
+    "rendezvous": (
+        "when do two agents meet, and what is the bound",
+        _rendezvous_args,
+        _cmd_rendezvous,
+    ),
+    "bound": ("print the analytic guarantees", _bound_args, _cmd_bound),
+    "simulate": ("multi-agent discovery simulation", _simulate_args, _cmd_simulate),
+    "netsim": (
+        "network-scale discovery simulation over a generated workload",
+        _netsim_args,
+        _cmd_netsim,
+    ),
+    "sweep": (
+        "pairwise TTR sweep over relative wake-up shifts",
+        _sweep_args,
+        _cmd_sweep,
+    ),
+    "serve": (
+        "answer one pair's worst-TTR query from the result cache, "
+        "computing and storing on a miss",
+        _serve_args,
+        _cmd_serve,
+    ),
+    "store": (
+        "manage a shared schedule store (prewarm / inspect / evict)",
+        _store_args,
+        _cmd_store,
+    ),
+    "walk": ("ASCII walk plot of a bit string", _walk_args, _cmd_walk),
 }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The whole ``repro`` command line, every subcommand registered.
+
+    Each subcommand's arguments are added when a command line selects
+    it (:class:`_LazyParser`), so building the parser and parsing one
+    command line pays for that subcommand's arguments alone.
+    """
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Deterministic blind rendezvous (Chen et al., ICDCS 2014)",
+    )
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_LazyParser
+    )
+    for name, (help_line, add_arguments, _) in _COMMANDS.items():
+        sub.add_parser(name, help=help_line, add_arguments=add_arguments)
+    return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -1063,14 +1148,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     one process never bleed telemetry into each other.
     """
     args = build_parser().parse_args(argv)
+    _, _, handler = _COMMANDS[args.command]
     mode = getattr(args, "telemetry", None)
     if mode is None:
-        return _HANDLERS[args.command](args)
+        return handler(args)
     telemetry.reset()
     telemetry.enable()
     wall_start = time.perf_counter()
     try:
-        code = _HANDLERS[args.command](args)
+        code = handler(args)
     finally:
         wall = time.perf_counter() - wall_start
         snapshot = telemetry.snapshot()

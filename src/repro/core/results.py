@@ -22,8 +22,9 @@ storage layer both stores share (:mod:`repro.core.blobs`):
   lose one another's records.  A record that fails to parse, or whose
   stored digest differs, is a miss, never a wrong answer.
 * **counters** — ``hits`` / ``misses`` / ``writes`` / ``invalidations``
-  / ``evictions`` count what actually happened; the serve CLI and the
-  service-cache benchmark assert against them.
+  / ``evictions`` count what actually happened; :meth:`ResultStore.counters`
+  reads them without touching disk (the serve CLI reports them per
+  query) and the service-cache benchmark asserts against them.
 * **LRU byte cap** — ``memory_cap`` bounds every byte on disk,
   evicting least-recently-*read* records first.
 
@@ -214,22 +215,28 @@ class ResultStore:
         """Drop every record; returns how many were removed."""
         return self._blobs.clear()
 
-    def stats(self) -> dict[str, int]:
-        """Counter snapshot: hits, misses, writes, invalidations, evictions, entries, bytes.
+    def counters(self) -> dict[str, int]:
+        """This instance's counters: hits, misses, writes, invalidations, evictions.
 
-        ``entries`` and ``total_bytes`` come from one directory scan
-        that parses no record.
+        Touches no file, so a caller that reports per query (``serve``)
+        adds no I/O to a hit.
         """
-        entries, total_bytes = self._blobs.usage()
         return {
             "hits": self.hits,
             "misses": self.misses,
             "writes": self.writes,
             "invalidations": self.invalidations,
             "evictions": self.evictions,
-            "entries": entries,
-            "total_bytes": total_bytes,
         }
+
+    def stats(self) -> dict[str, int]:
+        """:meth:`counters` plus ``entries`` and ``total_bytes`` on disk.
+
+        The two sizes come from one directory scan that stats every
+        record file and parses none.
+        """
+        entries, total_bytes = self._blobs.usage()
+        return {**self.counters(), "entries": entries, "total_bytes": total_bytes}
 
 
 def _load_json(path) -> object:

@@ -301,10 +301,15 @@ class ScheduleStore:
     def entries(self) -> list[dict]:
         """Metadata of every primary-root record, least-recently-attached first.
 
-        Each entry carries the sidecar's ``digest``, ``algorithm``,
-        ``n``, ``period`` and ``source``, plus ``nbytes`` (bytes on
-        disk) and ``last_used`` (the ``.npy`` file's mtime, refreshed on
-        every attach).
+        Each entry carries its sidecar's keys (``algorithm``, ``n``,
+        ``period`` and ``source`` for a record this code writes), plus
+        ``digest``, ``nbytes`` (bytes on disk), ``last_used`` (the
+        ``.npy`` file's mtime, refreshed on every attach) and ``live``:
+        whether it is the global sequence of its ``n`` under today's
+        source, the one record kind a lookup reads.  A stale record
+        (an older format, or a sequence an edited ``baselines/drds.py``
+        no longer builds) is read by nothing until the cap or
+        :meth:`evict` removes it.
         """
         rows = []
         for digest, nbytes, last_used in self._blobs.lru():
@@ -312,7 +317,17 @@ class ScheduleStore:
                 meta = json.loads(self._blobs.path(digest, ".json").read_bytes())
             except (OSError, ValueError):
                 continue
-            meta.update(digest=digest, nbytes=nbytes, last_used=last_used)
+            if not isinstance(meta, dict):
+                continue
+            n = meta.get("n")
+            meta.update(
+                digest=digest,
+                nbytes=nbytes,
+                last_used=last_used,
+                live=meta.get("algorithm") == GLOBAL_SEQUENCE_ALGORITHM
+                and isinstance(n, int)
+                and digest == sequence_digest(n),
+            )
             rows.append(meta)
         return rows
 

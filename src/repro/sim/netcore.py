@@ -28,8 +28,9 @@ as numpy columns instead:
   with the member bitset of the channel it sits on: that one AND finds
   every new meeting on every channel, and clearing the hit bits
   retires the pairs — *first-meet retirement* — so no pair is ever
-  reported twice and the simulation retires as soon as every
-  overlapping pair has met.
+  reported twice.  A cohort that leaves takes its pending pairs with
+  it, so the simulation retires as soon as no pending pair can still
+  meet.
 * **Event wheel.**  Wake (join) and leave (churn) events live in a
   time-chunked :class:`EventWheel`; each chunk pops only its own bucket,
   so maintaining the active-cohort set costs ``O(events)`` over the
@@ -257,9 +258,9 @@ class NetResult:
     by :meth:`iter_agent_events`.
 
     Contention counters cover global slots ``[0, slots_simulated)`` —
-    with ``early_stop`` the simulator retires once every overlapping
-    pair has met, so ``slots_simulated`` can be well short of the
-    horizon.
+    with ``early_stop`` the simulator retires once no pending pair can
+    still meet (every overlapping pair has met, or one of its cohorts
+    has left), so ``slots_simulated`` can be well short of the horizon.
     """
 
     def __init__(
@@ -427,6 +428,23 @@ def _pending_pairs(
     below = (_bits(index) << np.uint64(1)) - np.uint64(1)
     pending[index, index >> 6] &= ~below
     return pending
+
+
+def _drop_cohorts(pending: np.ndarray, cohorts: list[int]) -> int:
+    """Clear every pending pair of ``cohorts``; returns how many there were.
+
+    Each pair sits once, in its lower cohort's row, so clearing the
+    cohorts' rows and then their bits in every row clears each pair
+    exactly once.
+    """
+    cohorts = np.asarray(cohorts, dtype=np.int64)
+    cleared = int(np.bitwise_count(pending[cohorts]).sum())
+    pending[cohorts] = 0
+    column = np.zeros(pending.shape[1], dtype=np.uint64)
+    np.bitwise_or.at(column, cohorts >> 6, _bits(cohorts))
+    cleared += int(np.bitwise_count(pending & column).sum())
+    pending &= ~column
+    return cleared
 
 
 def _assemble_block(
@@ -607,8 +625,12 @@ def simulate_population(
     its channel, records the hits as first meetings and retires them
     (first-meet retirement).  One ``bincount`` over (slot, channel) per
     block accumulates the per-channel contention counters over exactly
-    the slots scanned.  With ``early_stop`` (the default) the scan —
-    and assembly — retires at the slot the last pending pair meets;
+    the slots scanned.  At the end of each chunk, the pending pairs of
+    cohorts that left in it are dropped: they can never meet, and
+    ``unmet_cohort_pairs`` still counts them.  With ``early_stop`` (the
+    default) the scan — and assembly — retires once no pending pair
+    is left: at the slot the last one meets, or at the end of the
+    chunk in which the last cohort with an unmet pair leaves;
     ``early_stop=False`` scans the full horizon so contention metrics
     cover every slot.
 
@@ -659,6 +681,8 @@ def simulate_population(
     )
     pending = _pending_pairs(population, membership, alive)
     remaining = int(np.bitwise_count(pending).sum())
+    # Unmet pairs dropped from ``pending`` when one of their cohorts left.
+    departed = 0
 
     # Intra-cohort pairs share one behaviour: clean, they meet the slot
     # the cohort wakes, on the schedule's first channel; under an
@@ -770,6 +794,13 @@ def simulate_population(
                 block_start = block_stop
             for cohort in leaves:
                 active[cohort] = False
+            if leaves and remaining:
+                # A cohort that left can meet no one again: retire its
+                # pairs, so the early stop waits only on pairs that can.
+                dropped = _drop_cohorts(pending, leaves)
+                remaining -= dropped
+                departed += dropped
+                done = early_stop and remaining == 0
 
     if events:
         event_i, event_j, event_time, event_channel = (
@@ -792,5 +823,5 @@ def simulate_population(
         per_value[0],
         per_value[1],
         overlapping_pairs,
-        unmet_cohort_pairs=remaining,
+        unmet_cohort_pairs=remaining + departed,
     )

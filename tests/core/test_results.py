@@ -140,6 +140,30 @@ class TestResultStore:
         assert store.clear() == 2
         assert store.entries() == []
 
+    def test_counters_read_no_file_and_stats_add_the_scan(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.core.blobs import BlobStore
+
+        store = ResultStore(tmp_path)
+        store.put(_query(0), _value(0))
+        store.get(_query(0))
+        store.get(_query(1))
+        scanned = []
+        original = BlobStore.scan
+        monkeypatch.setattr(
+            BlobStore, "scan", lambda blobs: scanned.append(1) or original(blobs)
+        )
+        counters = store.counters()
+        assert scanned == []
+        assert counters == {
+            "hits": 1, "misses": 1, "writes": 1, "invalidations": 0,
+            "evictions": 0,
+        }
+        stats = store.stats()
+        assert scanned == [1]
+        assert stats == {**counters, "entries": 1, "total_bytes": store.total_bytes()}
+
     def test_rejects_nonpositive_cap(self, tmp_path):
         with pytest.raises(ValueError):
             ResultStore(tmp_path, memory_cap=0)

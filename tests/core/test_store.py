@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 
@@ -310,6 +311,43 @@ class TestScheduleStore:
         assert sorted(m["source"] for m in real.entries()) == sorted(
             ["f" * 16, source_digest("baselines/drds.py")]
         )
+
+
+class TestStaleRecords:
+    def _write(self, root, digest, meta, array) -> None:
+        shard = root / digest[:SHARD_PREFIX_LEN]
+        shard.mkdir(parents=True, exist_ok=True)
+        (shard / f"{digest}.json").write_text(json.dumps(meta))
+        np.save(shard / f"{digest}.npy", array)
+
+    def test_entries_tell_stale_records_from_live(self, tmp_path, monkeypatch):
+        import repro.core.store as store_module
+
+        # A per-set period table in the format stores wrote before they
+        # kept only global sequences.
+        table = build_plain([1, 5], 16, "crseq").period_table()
+        self._write(
+            tmp_path,
+            "0123456789abcdef",
+            {"digest": "0123456789abcdef", "algorithm": "crseq", "n": 16,
+             "seed": -1, "channels": [1, 5], "period": int(table.size)},
+            table,
+        )
+        # A sidecar missing every key.
+        self._write(tmp_path, "fedcba9876543210", {}, np.zeros(4, dtype=np.int64))
+        # A global sequence stored under another source digest.
+        with monkeypatch.context() as patch:
+            patch.setattr(store_module, "source_digest", lambda *names: "f" * 16)
+            old = sequence_digest(8)
+            ScheduleStore(tmp_path).global_sequence(8)
+        ScheduleStore(tmp_path).global_sequence(8)
+        live = {m["digest"]: m["live"] for m in ScheduleStore(tmp_path).entries()}
+        assert live == {
+            "0123456789abcdef": False,
+            "fedcba9876543210": False,
+            old: False,
+            sequence_digest(8): True,
+        }
 
 
 class TestShardedLayout:

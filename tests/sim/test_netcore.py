@@ -21,6 +21,7 @@ from repro.core.schedule import ConstantSchedule, CyclicSchedule
 from repro.sim import workloads
 from repro.sim.agent import ASLEEP, Agent
 from repro.sim.netcore import (
+    DEFAULT_CHUNK,
     LEAVE,
     LEAVE_NEVER,
     WAKE,
@@ -397,6 +398,23 @@ class TestNetResult:
         # Contention counters keep accumulating after the last meeting.
         assert full.contended_slots.sum() >= stopped.contended_slots.sum()
 
+    def test_early_stop_once_departures_strand_the_rest(self):
+        """Every pair left unmet has a cohort that departed (all by slot
+        340), so the scan stops at the end of that chunk, not the horizon."""
+        population = _churned_population(300, 7, "paper")
+        stopped = simulate_population(population, 50_000)
+        full = simulate_population(population, 50_000, early_stop=False)
+        assert stopped.unmet_cohort_pairs == full.unmet_cohort_pairs > 0
+        assert stopped.slots_simulated == DEFAULT_CHUNK
+        assert full.slots_simulated == 50_000
+        for field in (
+            "event_i", "event_j", "event_time", "event_channel",
+            "intra_cohort", "intra_time", "intra_channel",
+        ):
+            np.testing.assert_array_equal(
+                getattr(stopped, field), getattr(full, field), err_msg=field
+            )
+
     def test_contention_counters(self):
         # Two agents pinned to channel 2 forever: every simulated slot is
         # contended on channel 2 with exactly one co-located pair.
@@ -426,7 +444,9 @@ def _reference_simulate(population, horizon, chunk, early_stop, environment):
     Pending pairs are a ``(cohorts, cohorts)`` bool matrix; each chunk
     assembles a row-major ``(active cohorts, chunk)`` channel matrix,
     and each slot buckets its column by raw channel value and gathers
-    every crowded bucket's pending submatrix.  Returns the
+    every crowded bucket's pending submatrix.  At the end of a chunk
+    the pairs of every cohort that left in it leave the matrix, and
+    the early stop tests what is left.  Returns the
     :class:`NetResult` fields the scan produces.
     """
     sizes = population.cohort_size
@@ -439,6 +459,7 @@ def _reference_simulate(population, horizon, chunk, early_stop, environment):
     pending[~alive, :] = False
     pending[:, ~alive] = False
     remaining = int(np.count_nonzero(np.triu(pending, 1)))
+    departed = 0
 
     intra_cohort = np.nonzero(alive & (sizes >= 2))[0]
     if environment is None:
@@ -554,6 +575,13 @@ def _reference_simulate(population, horizon, chunk, early_stop, environment):
                 break
         for cohort in leaves:
             active[cohort] = False
+            dropped = int(np.count_nonzero(pending[cohort]))
+            pending[cohort, :] = False
+            pending[:, cohort] = False
+            remaining -= dropped
+            departed += dropped
+        if early_stop and remaining == 0:
+            done = True
 
     def concat(parts):
         return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
@@ -569,7 +597,7 @@ def _reference_simulate(population, horizon, chunk, early_stop, environment):
         "contended_slots": contended_slots,
         "pair_colocations": pair_colocations,
         "slots_simulated": slots_simulated,
-        "unmet_cohort_pairs": remaining,
+        "unmet_cohort_pairs": remaining + departed,
     }
 
 

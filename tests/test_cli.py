@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import argparse
+import json
+import shlex
+
 import pytest
 
+import repro.cli
 from repro.cli import build_parser, main
 
 
@@ -30,6 +35,191 @@ class TestParser:
                 ["schedule", "--channels", "1", "--universe", "8",
                  "--algorithm", "quantum"]
             )
+
+
+# vars(Namespace) of each command line in repro.cli's docstring, as the
+# parser that built every subcommand up front returned them ("..." is
+# filled in from the first full example; environments by their spec).
+_AGENTS = [[3, 17, 40], [17, 58], [3, 58]]
+_NETSIM = {
+    "agents": 5000, "algorithm": "paper", "as_json": False, "certify": 0,
+    "chunk": 4096, "churn": 0.0, "churn_window": 10000, "command": "netsim",
+    "engine": "vectorized", "environment": None, "horizon": 500000, "k": 3,
+    "rho": 0.5, "seed": 0, "store_dir": None, "telemetry": None,
+    "universe": 12, "wake_spread": 16, "workload": "random_subsets",
+}
+_SWEEP = {
+    "agents": _AGENTS, "algorithm": "paper", "checkpoint_dir": None,
+    "command": "sweep", "degradation": None, "dense": 64, "environment": None,
+    "horizon": 1000000, "probes": 64, "read_roots": None, "results_dir": None,
+    "resume": False, "store_cap": None, "store_dir": None, "stream_workers": 0,
+    "telemetry": None, "tile_bytes": None, "universe": 64, "workers": 1,
+}
+_SERVE = {
+    "a": [3, 17, 40], "algorithm": "paper", "as_json": False, "b": [17, 58],
+    "command": "serve", "dense": 64, "horizon": 1000000, "probes": 64,
+    "read_roots": None, "results_dir": ".results", "seed": 0,
+    "store_dir": None, "telemetry": None, "universe": 64,
+}
+DOCSTRING_NAMESPACES = {
+    "schedule --channels 3,17,40 --universe 64 --slots 20": {
+        "algorithm": "paper", "channels": [3, 17, 40], "command": "schedule",
+        "slots": 20, "universe": 64,
+    },
+    "rendezvous --a 3,17,40 --b 17,58 --universe 64": {
+        "a": [3, 17, 40], "algorithm": "paper", "b": [17, 58],
+        "command": "rendezvous", "horizon": 1000000, "shift": 0, "universe": 64,
+    },
+    "bound --k 3 --l 4 --universe 64": {
+        "command": "bound", "k": 3, "l": 4, "universe": 64,
+    },
+    "simulate --agents 3,17,40/17,58/3,58 --universe 64": {
+        "agents": _AGENTS, "algorithm": "paper", "command": "simulate",
+        "horizon": 200000, "universe": 64, "wake_stagger": 13,
+    },
+    "netsim --workload random_subsets --universe 12 --k 3 --agents 5000": _NETSIM,
+    "netsim --workload random_subsets --universe 12 --agents 600 --certify 50": {
+        **_NETSIM, "agents": 600, "certify": 50,
+    },
+    "netsim --workload whitespace --universe 24 --agents 2000 --churn 0.2 --json": {
+        **_NETSIM, "agents": 2000, "as_json": True, "churn": 0.2,
+        "universe": 24, "workload": "whitespace",
+    },
+    "sweep --agents 3,17,40/17,58/3,58 --universe 64": _SWEEP,
+    "sweep --agents ... --universe 64 --tile-bytes 65536": {
+        **_SWEEP, "tile_bytes": 65536,
+    },
+    "sweep --agents ... --universe 64 --stream-workers 2 --tile-bytes auto": {
+        **_SWEEP, "stream_workers": 2,
+    },
+    "sweep --agents ... --universe 64 --store-dir .schedules --store-cap 1000000": {
+        **_SWEEP, "store_cap": 1000000, "store_dir": ".schedules",
+    },
+    "sweep --agents ... --universe 64 --checkpoint-dir .ckpt --resume": {
+        **_SWEEP, "checkpoint_dir": ".ckpt", "resume": True,
+    },
+    "sweep --agents ... --universe 64 --environment pu-churn:rate=0.1,seed=7": {
+        **_SWEEP,
+        "environment": {
+            "kind": "pu-churn", "rate": 0.1, "seed": 7, "dwell": 64,
+            "channels": None,
+        },
+    },
+    "sweep --agents ... --universe 64 --environment fading:p=0.05 --degradation 4000": {
+        **_SWEEP,
+        "degradation": 4000,
+        "environment": {"kind": "fading", "p": 0.05, "seed": 0},
+    },
+    "sweep --agents ... --universe 64 --telemetry text": {
+        **_SWEEP, "telemetry": "text",
+    },
+    "serve --a 3,17,40 --b 17,58 --universe 64 --results-dir .results": _SERVE,
+    "serve --a ... --b ... --universe 64 --results-dir .results --json": {
+        **_SERVE, "as_json": True,
+    },
+    "store prewarm --agents ... --universe 64 --store-dir .schedules": {
+        "action": "prewarm", "agents": _AGENTS, "algorithm": "paper",
+        "command": "store", "store_dir": ".schedules", "universe": 64,
+    },
+    "store inspect --store-dir .schedules": {
+        "action": "inspect", "command": "store", "store_dir": ".schedules",
+    },
+    "store evict --store-dir .schedules --all": {
+        "action": "evict", "all": True, "command": "store", "digest": None,
+        "store_dir": ".schedules",
+    },
+    "walk --bits 110100": {"bits": "110100", "command": "walk"},
+}
+
+_SUBCOMMANDS = (
+    "schedule", "rendezvous", "bound", "simulate", "netsim", "sweep", "serve",
+    "store", "walk",
+)
+
+
+def _docstring_command_lines() -> list[tuple[str, list[str]]]:
+    """``(line after 'python -m repro ', argv)`` per docstring example."""
+    fill = {"--agents": "3,17,40/17,58/3,58", "--a": "3,17,40", "--b": "17,58"}
+    lines = []
+    for line in repro.cli.__doc__.splitlines():
+        line = line.strip()
+        if not line.startswith("python -m repro "):
+            continue
+        argv = shlex.split(line)[3:]
+        argv = [
+            fill[argv[i - 1]] if token == "..." else token
+            for i, token in enumerate(argv)
+        ]
+        lines.append((line.removeprefix("python -m repro "), argv))
+    return lines
+
+
+def _subcommand_parsers(parser: argparse.ArgumentParser) -> dict:
+    [action] = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return action.choices
+
+
+class TestLazySubcommands:
+    def test_docstring_command_lines_parse_as_before(self):
+        lines = _docstring_command_lines()
+        assert [line for line, _ in lines] == list(DOCSTRING_NAMESPACES)
+        for line, argv in lines:
+            parsed = vars(build_parser().parse_args(argv))
+            if parsed.get("environment") is not None:
+                parsed["environment"] = parsed["environment"].spec()
+            assert parsed == DOCSTRING_NAMESPACES[line], line
+
+    def test_serve_parse_builds_only_serve(self):
+        parser = build_parser()
+        parsers = _subcommand_parsers(parser)
+        assert list(parsers) == list(_SUBCOMMANDS)
+        parser.parse_args(
+            ["serve", "--a", "1,5", "--b", "5,9", "--universe", "16",
+             "--results-dir", "cache"]
+        )
+        for name, sub in parsers.items():
+            options = [a.dest for a in sub._actions]
+            if name == "serve":
+                assert options[0] == "help" and len(options) == 1 + 13
+            else:
+                assert options == [], name
+
+    def test_top_level_help_lists_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        for name in _SUBCOMMANDS:
+            assert f"\n    {name} " in out, name
+
+    @pytest.mark.parametrize(
+        "argv,options",
+        [
+            (
+                ["serve"],
+                ["-h, --help", "--a", "--b", "--results-dir", "--store-dir", "--json"],
+            ),
+            (["store", "evict"], ["-h, --help", "--store-dir", "--digest", "--all"]),
+        ],
+    )
+    def test_subcommand_help_lists_its_options(self, capsys, argv, options):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: repro {' '.join(argv)} [-h] ")
+        for option in options:
+            assert option in out, option
+
+    def test_usage_error_names_the_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--a", "1,5"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro serve [-h] --a A --b B")
+        assert "the following arguments are required: --b, --universe" in err
 
 
 class TestScheduleCommand:
@@ -322,12 +512,29 @@ class TestStoreCommand:
         code = main(["store", "inspect", "--store-dir", store_dir])
         out = capsys.readouterr().out
         assert code == 0
-        assert "2 entries" in out
+        assert "\n2 entries (2 live), " in out
         header, _, *rows = out.split("\n\n")[0].splitlines()
-        assert header.split() == ["digest", "n", "period", "KiB"]
-        assert sorted(row.split()[1:3] for row in rows) == [
-            ["16", "11648"], ["8", "2944"]
+        assert header.split() == ["digest", "n", "period", "KiB", "live"]
+        assert sorted(row.split()[1:3] + row.split()[4:] for row in rows) == [
+            ["16", "11648", "yes"], ["8", "2944", "yes"]
         ]
+
+    def test_inspect_marks_stale_records(self, capsys, tmp_path, monkeypatch):
+        import repro.core.store as store_module
+        from repro.core.store import ScheduleStore, sequence_digest
+
+        with monkeypatch.context() as patch:
+            patch.setattr(store_module, "source_digest", lambda *names: "f" * 16)
+            ScheduleStore(tmp_path).global_sequence(8)
+        ScheduleStore(tmp_path).global_sequence(8)
+        code = main(["store", "inspect", "--store-dir", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "\n2 entries (1 live), " in out
+        _, _, *rows = out.split("\n\n")[0].splitlines()
+        live = {row.split()[0]: row.split()[-1] for row in rows}
+        assert live.pop(sequence_digest(8)) == "yes"
+        assert list(live.values()) == ["no"]
 
     def test_evict_all_and_by_digest(self, capsys, tmp_path):
         store_dir = str(tmp_path / "store")
@@ -476,6 +683,41 @@ class TestServeCommand:
         assert [(m["algorithm"], m["n"]) for m in entries] == [
             (GLOBAL_SEQUENCE_ALGORITHM, 16)
         ]
+
+    def test_hit_scans_no_directory_and_miss_scans_once(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from repro.core.blobs import BlobStore
+
+        scans = []
+        original = BlobStore.scan
+        monkeypatch.setattr(
+            BlobStore, "scan", lambda blobs: scans.append(1) or original(blobs)
+        )
+        results = tmp_path / "results"
+        args = self.ARGS + ["--results-dir", str(results)]
+        assert main(args + ["--json"]) == 0
+        cold = json.loads(capsys.readouterr().out)
+        assert cold["source"] == "computed"
+        assert len(scans) == 1  # the byte-cap check of the one put
+        assert cold["cache"] == {
+            "hits": 0, "misses": 1, "writes": 1, "invalidations": 0,
+            "evictions": 0,
+        }
+        scans.clear()
+        assert main(args + ["--json"]) == 0
+        warm = json.loads(capsys.readouterr().out)
+        assert warm["source"] == "cache hit"
+        assert warm["cache"] == {
+            "hits": 1, "misses": 0, "writes": 0, "invalidations": 0,
+            "evictions": 0,
+        }
+        assert main(args) == 0
+        text = capsys.readouterr().out
+        assert text.splitlines()[-1] == (
+            f"result cache {results}: 1 hits, 0 misses, 0 writes"
+        )
+        assert scans == []
 
     def test_read_root_requires_store_dir(self, capsys, tmp_path):
         code = main(
