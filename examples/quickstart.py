@@ -3,9 +3,8 @@
 Builds the paper's Theorem 3 schedules for two agents with different
 channel sets and wake-up times, simulates them, and prints when and where
 they meet — plus the worst case over every small relative shift, compared
-against the analytic bound, and a first look at the sweep tuning knobs
-(tile budget, intra-pair worker lanes) that docs/TUNING.md teaches in
-full.
+against the analytic bound, and a first look at the sweep kernel's tile
+plan that docs/TUNING.md teaches in full.
 
 Run:  python examples/quickstart.py
 """
@@ -18,7 +17,7 @@ from repro.core.stream import ttr_sweep
 from repro.core.epoch import rendezvous_bound
 from repro.core.pairwise import async_pair_string
 from repro.core.ramsey import color_bits, edge_color
-from repro.core.stream import plan_tiles
+from repro.core.stream import TilePlan, plan_tiles
 from repro.sim import Agent, Network
 
 
@@ -54,21 +53,22 @@ def main() -> None:
     worst = repro.max_ttr(alice, bob, range(0, 2000, 7), horizon=bound + 1)
     print(f"worst TTR over sampled shifts: {worst}  (analytic bound {bound})")
 
-    # --- the tuning knobs, in one breath (full guide: docs/TUNING.md) --
+    # --- the tile plan, in one breath (full guide: docs/TUNING.md) ----
     # ttr_sweep runs the scalar loop for tiny joint periods and one
-    # blocked kernel otherwise, on one lane; no knob changes a result,
-    # so explicit lanes and a pinned tile budget must reproduce the
-    # default profile exactly.
+    # blocked kernel otherwise, under a tile plan auto-tuned from the L2
+    # cache; no plan changes a result, so a pinned small-tile plan must
+    # reproduce the default profile exactly.
     shifts = list(range(0, 2000, 7))
     default_profile = ttr_sweep(alice, bob, shifts, bound + 1)
-    streamed = ttr_sweep(
-        alice, bob, shifts, bound + 1, stream_workers=2, tile_bytes=65536,
+    pinned = ttr_sweep(
+        alice, bob, shifts, bound + 1,
+        plan=TilePlan(tile_bytes=65536, block_rows=32),
     )
-    assert streamed == default_profile, "knobs must never change results"
-    plan = plan_tiles(len(shifts), bound + 1, workers=2)
+    assert pinned == default_profile, "a tile plan must never change results"
+    plan = plan_tiles(len(shifts), bound + 1)
     print(
-        f"streamed the same profile through 2 worker lanes "
-        f"(auto plan would be: tile {plan.tile_bytes >> 10} KiB, "
+        f"a pinned 64 KiB tile plan swept the same profile "
+        f"(the auto plan: tile {plan.tile_bytes >> 10} KiB, "
         f"{plan.block_rows} shifts per block)"
     )
 

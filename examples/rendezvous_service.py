@@ -46,12 +46,12 @@ SWEEP = dict(dense=32, probes=32)
 
 
 class DyingCheckpoint(SweepCheckpoint):
-    """A checkpoint sink that simulates a crash after its 3rd snapshot."""
+    """A checkpoint sink that simulates a crash after its 2nd snapshot."""
 
     def save(self, state: dict) -> None:
-        """Persist the snapshot, then die once three are on disk."""
+        """Persist the snapshot, then die once two are on disk."""
         super().save(state)
-        if self.saves >= 3:
+        if self.saves >= 2:
             raise RuntimeError("simulated crash (power loss, preemption...)")
 
 
@@ -96,13 +96,13 @@ def main() -> None:
         print(cache_line(fresh))
 
         # --- 3. interrupt a checkpointed sweep mid-scan ---------------
-        # A second, uncached pair; tiny tiles force many block
-        # boundaries so snapshots land early.  Injecting the dying sink
-        # through the runner module stands in for a real crash.
+        # A second, uncached pair; its sweep snapshots at each of its
+        # four time-block boundaries, so the second lands mid-scan.
+        # Injecting the dying sink through the runner module stands in
+        # for a real crash.
         other = single_overlap(N, 6, 4, seed=7)
         doomed = SweepRunner(
-            workers=1, results=results_dir, checkpoint_dir=ckpt_dir,
-            tile_bytes=64,
+            workers=1, results=results_dir, checkpoint_dir=ckpt_dir
         )
         runner_module.SweepCheckpoint = DyingCheckpoint
         try:
@@ -118,8 +118,7 @@ def main() -> None:
 
         # --- 4. resume from the snapshot ------------------------------
         resumer = SweepRunner(
-            workers=1, results=results_dir, checkpoint_dir=ckpt_dir,
-            tile_bytes=64,
+            workers=1, results=results_dir, checkpoint_dir=ckpt_dir
         )
         resumed = resumer.measure_pair(other, ALGORITHM, (0, 1), HORIZON, **SWEEP)
         reference = SweepRunner(workers=1).measure_pair(

@@ -11,10 +11,8 @@ demand.  This example shows the store lifecycle end to end:
 1. prewarm: build and store the global sequence exactly once;
 2. sweep: the runner (and all of its workers) attach a read-only memmap;
 3. resweep: a fresh runner starts warm — zero builds anywhere;
-4. tune: the same sweep with explicit intra-pair worker lanes and an
-   auto-tuned tile budget — bit-identical results (the runner spends
-   `workers` on processes across pairs; lanes within a pair are an
-   opt-in, see docs/TUNING.md);
+4. budget: a runner spends `workers` on processes across pairs, and
+   each pair's sweep runs in one thread (see docs/TUNING.md);
 5. inspect and evict.
 
 The CLI equivalents:
@@ -23,9 +21,6 @@ The CLI equivalents:
         --algorithm drds --store-dir .schedules
     python -m repro sweep --agents ... --universe 128 \\
         --algorithm drds --store-dir .schedules --workers 0
-    python -m repro sweep --agents ... --universe 128 \\
-        --algorithm drds --store-dir .schedules \\
-        --stream-workers 2 --tile-bytes auto
     python -m repro store inspect --store-dir .schedules
     python -m repro store evict --store-dir .schedules --all
 
@@ -92,27 +87,15 @@ def main() -> None:
             f"({again.store.builds} builds, {again.store.attaches} attaches)\n"
         )
 
-        # --- 4. the lane/tile knobs ride the same store ---------------
-        # The kernel gathers tiles straight off the attached memmap;
-        # 2 intra-pair lanes and an auto-tuned tile plan must reproduce
-        # the measurements bit-identically — knobs move wall-clock,
-        # never results.  worker_budget shows how a runner splits its
-        # budget into processes and lanes.
-        tuned = SweepRunner(
-            workers=1, store=ScheduleStore(store_dir),
-            stream_workers=2, tile_bytes=None,
-        )
-        retuned = tuned.measure_instance(
-            instance, ALGORITHM, HORIZON, dense=8, probes=8
-        )
-        assert retuned == measured, "lane/tile knobs must not change results"
+        # --- 4. the worker budget -------------------------------------
+        # Processes go to the pair fan-out once a job has enough pairs;
+        # every pair's sweep runs in one thread of one process.
         budgeted = SweepRunner(workers=8)
         pairs = len(instance.overlapping_pairs())
         print(
-            f"streamed resweep with 2 lanes per pair: identical measurements\n"
-            f"worker budget at {pairs} pairs for SweepRunner(workers=8): "
-            f"{budgeted.worker_budget(pairs)} (processes, lanes) — "
-            f"{budgeted.worker_budget(1)} for a single-pair job\n"
+            f"SweepRunner(workers=8) sweeps these {pairs} pairs over "
+            f"{budgeted.effective_workers(pairs)} processes, a single-pair "
+            f"job over {budgeted.effective_workers(1)}\n"
         )
 
         # --- 5. inspect and evict -------------------------------------

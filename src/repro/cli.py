@@ -11,8 +11,6 @@ numbers without writing Python:
     python -m repro netsim --workload random_subsets --universe 12 --agents 600 --certify 50
     python -m repro netsim --workload whitespace --universe 24 --agents 2000 --churn 0.2 --json
     python -m repro sweep --agents 3,17,40/17,58/3,58 --universe 64
-    python -m repro sweep --agents ... --universe 64 --tile-bytes 65536
-    python -m repro sweep --agents ... --universe 64 --stream-workers 2 --tile-bytes auto
     python -m repro sweep --agents ... --universe 64 --store-dir .schedules --store-cap 1000000
     python -m repro sweep --agents ... --universe 64 --checkpoint-dir .ckpt --resume
     python -m repro sweep --agents ... --universe 64 --environment pu-churn:rate=0.1,seed=7
@@ -90,38 +88,6 @@ def _parse_channels(text: str) -> list[int]:
 
 def _parse_agents(text: str) -> list[list[int]]:
     return [_parse_channels(part) for part in text.split("/")]
-
-
-def _parse_stream_workers(text: str) -> int:
-    """A nonnegative lane count (0 means the default, one lane)."""
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"expected a worker count, got {text!r}"
-        ) from exc
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"stream workers must be nonnegative, got {value}"
-        )
-    return value
-
-
-def _parse_tile_bytes(text: str) -> int | None:
-    """``auto`` (the tuned default) or a positive byte count."""
-    if text == "auto":
-        return None
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"expected 'auto' or a byte count, got {text!r}"
-        ) from exc
-    if value <= 0:
-        raise argparse.ArgumentTypeError(
-            f"tile bytes must be positive, got {value}"
-        )
-    return value
 
 
 def _parse_environment_arg(text: str):
@@ -394,23 +360,6 @@ def _sweep_args(sweep: argparse.ArgumentParser) -> None:
         help="resume from checkpoints left in --checkpoint-dir by an "
         "interrupted run (without this flag stale checkpoints are "
         "discarded and the sweep starts fresh)",
-    )
-    sweep.add_argument(
-        "--tile-bytes",
-        type=_parse_tile_bytes,
-        default=None,
-        metavar="auto|BYTES",
-        help="byte budget per sweep (shift, time) tile: 'auto' "
-        "(default) sizes tiles from the machine's L2/L3 caches, an "
-        "explicit byte count pins it; results are invariant under "
-        "the choice",
-    )
-    sweep.add_argument(
-        "--stream-workers",
-        type=_parse_stream_workers,
-        default=0,
-        help="thread lanes for each pair's sweep; 0 (default) runs one "
-        "lane — extra lanes pay only on large strided sweeps",
     )
     sweep.add_argument(
         "--environment",
@@ -805,8 +754,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     runner = SweepRunner(
         workers=args.workers or None,
         store=store,
-        tile_bytes=args.tile_bytes,
-        stream_workers=args.stream_workers or None,
         results=args.results_dir,
         checkpoint_dir=args.checkpoint_dir,
         environment=args.environment,
@@ -842,10 +789,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     print(f"algorithm: {args.algorithm}")
     if faulted:
         print(f"environment: {environment_digest(args.environment)}")
-    if args.stream_workers:
-        print(f"stream workers: {args.stream_workers} per pair")
-    if args.tile_bytes is not None:
-        print(f"tile bytes: {args.tile_bytes}")
     header = ["pair", "worst TTR", "mean", "p95", "shifts"]
     if faulted:
         header.append("missed")
@@ -883,21 +826,13 @@ def _sweep_degradation(
     """Emit one JSON degradation report per overlapping pair.
 
     Shift classes are exhaustive (each pair's full guarantee range),
-    so the survival fraction is exact, not sampled; no sweep knob
-    changes the report.
+    so the survival fraction is exact, not sampled.
     """
     reports = []
     for i, j in instance.overlapping_pairs():
         a = runner.schedule_for(instance.sets[i], instance.n, args.algorithm, i)
         b = runner.schedule_for(instance.sets[j], instance.n, args.algorithm, j)
-        report = degradation_report(
-            a,
-            b,
-            args.degradation,
-            args.environment,
-            tile_bytes=args.tile_bytes,
-            stream_workers=args.stream_workers or None,
-        )
+        report = degradation_report(a, b, args.degradation, args.environment)
         row = report.to_dict()
         row["pair"] = [i, j]
         reports.append(row)

@@ -32,9 +32,9 @@ environment
 stream
     The shift-sweep engine: ``ttr_sweep`` runs the scalar reference loop
     for tiny joint periods and one blocked first-meet kernel otherwise,
-    with tiles generated on demand (any period size), optional
-    intra-pair thread lanes, an L2/L3-aware tile planner
-    (``plan_tiles``) and resumable checkpoints.
+    with tiles generated on demand (any period size), an L2-aware
+    tile planner (``plan_tiles``), sparse tiles kept under the mmap
+    threshold, and resumable checkpoints.
 blobs
     The storage layer under both persistent stores: one file set per
     digest, atomic writes with a marker file written last, one

@@ -14,9 +14,9 @@ storage layer both stores share (:mod:`repro.core.blobs`):
 
 * **content addressing** — the key is the query itself, canonically
   JSON-encoded with sorted keys and sorted channel lists, hashed with
-  SHA-256.  Tile budgets and lane/worker counts are deliberately
-  *excluded*: no sweep knob changes a result, so a result computed
-  under one configuration answers a query made under any other.
+  SHA-256.  Worker counts are deliberately *excluded*: no split of
+  the work changes a result, so a result computed under one
+  configuration answers a query made under any other.
 * **one file per record** — a ``put`` writes only its own file, so
   concurrent writers (every pool worker of a ``SweepRunner``) never
   lose one another's records.  A record that fails to parse, or whose
@@ -76,8 +76,8 @@ def pair_query(
     sweep's *inputs*, but the two sets are kept positional because the
     shift plan is signed: positive shifts delay agent B), and the shift
     plan parameters (``dense``/``probes``/``seed``) plus ``horizon``.
-    Engine name, tile bytes, and worker counts are excluded on purpose:
-    results are bit-identical across all of them.
+    Worker counts are excluded on purpose: results are bit-identical
+    across them.
 
     ``environment`` (an :class:`~repro.core.environment.Environment`)
     joins the query as its canonical spec when present; a clean query

@@ -41,8 +41,9 @@ The kernel never materializes a period table; it walks fixed-byte
 
 The deduped classes split into independent **shift blocks** sized by
 a :class:`TilePlan` (:func:`plan_tiles` derives rows per block and
-bytes per tile from the lane count, the machine's L2/L3 cache sizes
-and the problem shape).  A tile's rows come one of three ways:
+bytes per tile from the machine's L2 cache size and the problem
+shape), scanned one after another.  A tile's rows come one of three
+ways:
 
 * **consecutive** offsets (an exhaustive sweep, a dense prefix) are
   compared *in place*: the tile is the ``sliding_window_view`` of the
@@ -57,19 +58,17 @@ cast, so two ids can never alias), and each row retires with one
 ``argmax``.  A tile's budget counts what it allocates: a view tile
 with no environment costs one compare-mask byte per cell, so a group
 of consecutive offsets gets 8x the rows per block; gathered and
-environment-masked tiles cost 8 bytes per cell.
-
-Sweeps run on one lane by default.  ``stream_workers > 1`` fans the
-blocks out over a thread pool — numpy releases the GIL inside the
-tile-sized gathers and compares — which pays only on large strided
-sweeps (``docs/TUNING.md`` has the measurements).  Blocks
-touch disjoint result rows, so every lane count and every plan returns
-the same profile.
+environment-masked tiles cost 8 bytes per cell.  A sparse tile is
+further narrowed to :data:`_SPARSE_TILE_BYTES` of int64 ids, under
+glibc's default mmap threshold: a larger gathered array (and every
+same-shaped temporary of a closed-form gather) would be mapped and
+page-faulted in afresh for every tile.  Blocks touch disjoint result
+rows, so every plan returns the same profile.
 
 ``tests/core/test_stream.py`` certifies the kernel against the scalar
 reference across every workload generator, and
 ``tests/core/test_differential.py`` adds a seeded randomized safety
-net over plans, lanes, environments and horizons.
+net over plans, environments and horizons.
 """
 
 from __future__ import annotations
@@ -81,7 +80,6 @@ import math
 import os
 import threading
 from collections.abc import Iterable, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -103,7 +101,7 @@ __all__ = [
     "scatter_ttrs",
     "TilePlan",
     "plan_tiles",
-    "cache_sizes",
+    "l2_cache_bytes",
     "SweepCheckpoint",
     "SCALAR_JOINT_LIMIT",
 ]
@@ -118,18 +116,18 @@ _INITIAL_TIME_BLOCK = 256
 # int64 channel id); a view tile with no environment budgets 1 (its
 # compare mask).
 _BYTES_PER_CELL = 8
+# Bytes of int64 ids a sparse (gathered) tile may hold: half of glibc's
+# default 128 KiB mmap threshold, so neither the tile nor a closed-form
+# gather's same-shaped temporaries are mapped and faulted in per tile.
+_SPARSE_TILE_BYTES = 1 << 16
 _INT16 = np.iinfo(np.int16)
 
 # Auto-tuner clamps: a tile below 16 KiB drowns in per-tile dispatch
 # overhead; one above 8 MiB stops fitting any per-core cache level.
 _MIN_TILE_BYTES = 1 << 14
 _MAX_TILE_BYTES = 1 << 23
-# Shift blocks per worker lane: >1 so early-retiring lanes can steal
-# remaining blocks from the queue instead of idling.
-_BLOCKS_PER_WORKER = 4
-# Cache-size fallbacks when the sysfs topology is unreadable.
+# L2 size when the sysfs cache topology is unreadable.
 _FALLBACK_L2_BYTES = 1 << 20
-_FALLBACK_L3_BYTES = 1 << 25
 # Leading slots of each schedule folded into a checkpoint's spec digest.
 _SPEC_PROBE_SLOTS = 4096
 
@@ -149,16 +147,15 @@ def _parse_cache_size(text: str) -> int | None:
 
 
 @functools.lru_cache(maxsize=1)
-def cache_sizes() -> tuple[int, int]:
-    """Best-effort ``(L2, L3)`` data-cache sizes of this machine, in bytes.
+def l2_cache_bytes() -> int:
+    """Best-effort L2 data-cache size of this machine, in bytes.
 
     Probed once from the Linux sysfs cache topology
     (``/sys/devices/system/cpu/cpu0/cache``) and memoized; platforms
-    without it get the conservative fallbacks (1 MiB L2, 32 MiB L3).
-    Deterministic on a given machine — the auto-tuner's plans therefore
-    are too.
+    without it get a conservative 1 MiB.  Deterministic on a given
+    machine — the auto-tuner's plans therefore are too.
     """
-    l2, l3 = _FALLBACK_L2_BYTES, _FALLBACK_L3_BYTES
+    l2 = _FALLBACK_L2_BYTES
     root = "/sys/devices/system/cpu/cpu0/cache"
     try:
         names = sorted(os.listdir(root))
@@ -177,13 +174,9 @@ def cache_sizes() -> tuple[int, int]:
                 size = _parse_cache_size(handle.read())
         except (OSError, ValueError):
             continue
-        if kind not in ("Unified", "Data") or size is None:
-            continue
-        if level == 2:
+        if level == 2 and kind in ("Unified", "Data") and size is not None:
             l2 = size
-        elif level == 3:
-            l3 = size
-    return l2, max(l2, l3)
+    return l2
 
 
 @dataclass(frozen=True)
@@ -191,25 +184,21 @@ class TilePlan:
     """One resolved tiling decision for the blocked kernel.
 
     ``tile_bytes`` bounds the bytes of any single ``(shift, time)``
-    tile *per worker lane*; ``block_rows`` is how many deduped shift
-    classes one independent block carries; ``workers`` is the number of
-    thread lanes the blocks fan out over.  Results are invariant under
-    every plan — a plan only moves wall-clock and peak memory.  Build
-    one with :func:`plan_tiles` (auto-tuned) or directly (pinned, e.g.
-    in tests that force degenerate shapes).
+    tile; ``block_rows`` is how many deduped shift classes one
+    independent block carries.  Results are invariant under every plan
+    — a plan only moves wall-clock and peak memory.  Build one with
+    :func:`plan_tiles` (auto-tuned) or directly (pinned, e.g. in tests
+    that force degenerate shapes).
     """
 
     tile_bytes: int
     block_rows: int
-    workers: int
 
     def __post_init__(self):
         if self.tile_bytes <= 0:
             raise ValueError(f"tile_bytes must be positive, got {self.tile_bytes}")
         if self.block_rows <= 0:
             raise ValueError(f"block_rows must be positive, got {self.block_rows}")
-        if self.workers <= 0:
-            raise ValueError(f"workers must be positive, got {self.workers}")
 
     @property
     def cells(self) -> int:
@@ -225,65 +214,41 @@ class TilePlan:
 def plan_tiles(
     num_offsets: int,
     horizon: int,
-    workers: int | None = None,
     tile_bytes: int | None = None,
-    caches: tuple[int, int] | None = None,
     contiguous: bool = False,
 ) -> TilePlan:
     """Auto-tune a :class:`TilePlan` for one blocked scan.
 
     Pure arithmetic over the problem shape (``num_offsets`` deduped
     shift classes, ``horizon`` slots, and ``contiguous``: whether the
-    classes are consecutive offsets scanned with no environment), the
-    lane count (``None``: one lane), and the machine's cache sizes
-    (``caches`` overrides the memoized :func:`cache_sizes` probe) — no
-    wall-clock or RNG input, so the same arguments always produce the
-    same plan.
+    classes are consecutive offsets scanned with no environment) and
+    the machine's L2 size (the memoized :func:`l2_cache_bytes` probe)
+    — no wall-clock or RNG input, so the same arguments always produce
+    the same plan.
 
     Sizing policy, in order:
 
     * **tile** — ``None`` targets half the L2 cache (clamped to
-      16 KiB .. 8 MiB) so one lane's working tile stays cache-resident;
-      with multiple lanes the per-lane tile is additionally capped so
-      all lanes together leave half the L3 free.  An explicit
-      ``tile_bytes`` pins the budget unchanged.
-    * **block rows** — one-lane scans take the widest block one tile
-      can hold at the first time block's width (fewer tiles, best
-      vectorization); multi-lane scans split the rows into
-      ``workers * 4`` blocks (bounded by the tile cap) so lanes that
-      retire early pick up remaining blocks instead of idling.  A tile
-      is budgeted by what it allocates: 8 bytes per cell (an int64 id)
-      by default, 1 byte per cell (the compare mask of a copy-free
-      window view) when ``contiguous`` — so a consecutive group gets
+      16 KiB .. 8 MiB) so the working tile stays cache-resident.  An
+      explicit ``tile_bytes`` pins the budget unchanged.
+    * **block rows** — the widest block one tile can hold at the first
+      time block's width (fewer tiles, best vectorization).  A tile is
+      budgeted by what it allocates: 8 bytes per cell (an int64 id) by
+      default, 1 byte per cell (the compare mask of a copy-free window
+      view) when ``contiguous`` — so a consecutive group gets
       ``tile_bytes // 256`` rows per block, 8x the gathered budget.
-    * **workers** — clamped to the number of blocks; extra lanes could
-      never receive work.
     """
     if num_offsets < 0:
         raise ValueError(f"num_offsets must be nonnegative, got {num_offsets}")
-    workers = 1 if workers is None else max(1, int(workers))
     if tile_bytes is None:
-        l2, l3 = caches if caches is not None else cache_sizes()
-        tile = min(max(l2 // 2, _MIN_TILE_BYTES), _MAX_TILE_BYTES)
-        if workers > 1:
-            tile = min(tile, max(_MIN_TILE_BYTES, (l3 // 2) // workers))
+        tile = min(max(l2_cache_bytes() // 2, _MIN_TILE_BYTES), _MAX_TILE_BYTES)
     else:
         if tile_bytes <= 0:
             raise ValueError(f"tile_bytes must be positive, got {tile_bytes}")
         tile = int(tile_bytes)
     cells = max(1, tile // (1 if contiguous else _BYTES_PER_CELL))
-    initial_block = min(_INITIAL_TIME_BLOCK, max(1, horizon))
-    rows_cap = max(1, cells // initial_block)
-    rows = max(1, num_offsets)
-    if workers > 1:
-        per_lane = -(-rows // (workers * _BLOCKS_PER_WORKER))
-        block_rows = max(1, min(rows_cap, per_lane))
-    else:
-        block_rows = min(rows_cap, rows)
-    num_blocks = -(-rows // block_rows)
-    return TilePlan(
-        tile_bytes=tile, block_rows=block_rows, workers=min(workers, num_blocks)
-    )
+    rows_cap = max(1, cells // min(_INITIAL_TIME_BLOCK, max(1, horizon)))
+    return TilePlan(tile_bytes=tile, block_rows=min(rows_cap, max(1, num_offsets)))
 
 
 #: Sentinel in a checkpoint's ``resolved`` arrays for a shift row whose
@@ -370,10 +335,10 @@ class _CheckpointRecorder:
     """Shared, lock-guarded sweep state behind one checkpoint sink.
 
     Owns the per-sign-group ``resolved`` / ``frontier`` arrays that a
-    snapshot serializes.  ``update`` is called from scan lanes at every
-    time-block boundary — the lock makes the read-modify-save atomic
-    across thread lanes, and blocks own disjoint rows so updates never
-    conflict on array contents, only on the save.
+    snapshot serializes.  ``update`` is called from the kernel at every
+    time-block boundary; the lock makes each read-modify-save atomic,
+    and blocks own disjoint rows, so updates never conflict on array
+    contents, only on the save.
     """
 
     def __init__(
@@ -456,8 +421,6 @@ def ttr_sweep(
     b: Schedule | np.ndarray,
     shifts: Iterable[int],
     horizon: int,
-    tile_bytes: int | None = None,
-    stream_workers: int | None = None,
     plan: TilePlan | None = None,
     checkpoint: SweepCheckpoint | None = None,
     environment: Environment | None = None,
@@ -476,14 +439,9 @@ def ttr_sweep(
     Joint periods up to :data:`SCALAR_JOINT_LIMIT` run the scalar loop;
     everything else — and every sweep with a ``checkpoint`` or a pinned
     ``plan`` — runs the blocked kernel described in the module
-    docstring, which works at any period size.  Kernel knobs, none of
-    which changes a result:
-
-    * ``stream_workers`` — thread lanes the shift blocks fan out over
-      (``None``: one lane, no thread pool);
-    * ``tile_bytes`` — the per-lane tile budget (``None``: auto-tuned
-      from the cache sizes, see :func:`plan_tiles`);
-    * ``plan`` — a whole pinned :class:`TilePlan`, overriding both.
+    docstring, which works at any period size.  ``plan`` pins a
+    :class:`TilePlan` in place of the auto-tuned one (:func:`plan_tiles`);
+    no plan changes a result.
 
     ``checkpoint`` attaches a :class:`SweepCheckpoint` sink: the kernel
     snapshots retired rows plus each live row's time frontier at block
@@ -503,8 +461,6 @@ def ttr_sweep(
     sweeps never cross-resume, and an aperiodic mask disables the lcm
     early-stop (the scan then covers the caller's full horizon).
     """
-    if tile_bytes is not None and tile_bytes <= 0:
-        raise ValueError(f"tile_bytes must be positive, got {tile_bytes}")
     a = _coerce_schedule(a)
     b = _coerce_schedule(b)
     # A range stays lazy: it is zipped straight into the result and
@@ -554,10 +510,8 @@ def ttr_sweep(
             if group_plan is None:
                 group_plan = plan_tiles(
                     offsets.size, effective,
-                    workers=stream_workers, tile_bytes=tile_bytes,
                     contiguous=environment is None and _consecutive(offsets),
                 )
-            telemetry.gauge("sweep.lanes", group_plan.workers)
             telemetry.gauge("sweep.block_rows", group_plan.block_rows)
             telemetry.gauge("sweep.tile_bytes", group_plan.tile_bytes)
             ttrs[group] = _scan_offsets(
@@ -668,10 +622,7 @@ class _FixedRowCache:
     """Bounded memo of the fixed side's ``(t0, t1)`` channel rows.
 
     Every shift block walks the same early time windows before its
-    retirement schedule diverges, so the rows are shared across blocks
-    — and across thread lanes.  Unlocked on purpose: dict reads/writes
-    are atomic under the GIL, and the worst race outcome is one row
-    generated twice with identical contents, never a wrong result.
+    retirement schedule diverges, so the rows are shared across blocks.
     The budget (in cells, whatever the dtype) keeps late, rare,
     per-block-unique windows from accumulating.  Rows are narrowed
     like tile chunks (:func:`_narrow`).
@@ -696,14 +647,20 @@ class _FixedRowCache:
         return row
 
 
+def _sparse(offsets: np.ndarray, width: int) -> bool:
+    """Whether sorted, distinct ``offsets`` span more slots than their
+    ``(rows, width)`` tile holds — too far apart to share one chunk."""
+    return int(offsets[-1]) - int(offsets[0]) + width > offsets.size * width
+
+
 def _gather_tile(
-    schedule: Schedule, offsets: np.ndarray, t0: int, width: int
+    schedule: Schedule, offsets: np.ndarray, t0: int, width: int, sparse: bool
 ) -> tuple[np.ndarray, int]:
     """Rows ``schedule[(off + t0) .. (off + t0 + width))`` per offset.
 
-    ``offsets`` must be sorted ascending and distinct.  When they are
-    close together (span no larger than the rows matrix itself), one
-    contiguous chunk is generated, narrowed (:func:`_narrow`), and
+    ``offsets`` must be sorted ascending and distinct, and ``sparse``
+    is :func:`_sparse` of them at this ``width``.  Close offsets share
+    one contiguous chunk, generated, narrowed (:func:`_narrow`), and
     viewed through ``sliding_window_view``: consecutive offsets *are*
     that view, with no copy; other close offsets fancy-index it, which
     copies.  Sparse blocks assemble the whole ``(rows, width)`` index
@@ -713,9 +670,9 @@ def _gather_tile(
     Returns the tile and the bytes built for it: the chunk for a view,
     the copy or the gathered array otherwise.
     """
-    base = int(offsets[0])
-    span = int(offsets[-1]) - base + width
-    if span <= offsets.size * width:
+    if not sparse:
+        base = int(offsets[0])
+        span = int(offsets[-1]) - base + width
         chunk = _narrow(
             np.asarray(schedule.channel_block(base + t0, base + t0 + span))
         )
@@ -747,7 +704,7 @@ def _scan_block(
 
     ``block`` holds indices into ``offsets``/``result`` (ascending by
     offset); the scan writes only those rows of ``result``, so blocks
-    compose race-free across thread lanes.  Per row: geometric
+    compose in any order.  Per row: geometric
     time-block growth, first-meet retirement, ``-1`` for a miss.
     ``start`` is the resume cursor — slots before it were already
     scanned hit-free for every row of the block — and ``recorder``
@@ -761,7 +718,8 @@ def _scan_block(
     compare mask per row plus about 8 bytes of the int64 chunk it
     views, and is capped by the larger of the two; a gathered tile, or
     one the environment's hash mask covers, is budgeted at 8 bytes per
-    row.
+    row.  A sparse tile is then narrowed to :data:`_SPARSE_TILE_BYTES`,
+    whatever ``tile_bytes`` allows.
     """
     remaining = block
     t0 = start
@@ -773,10 +731,15 @@ def _scan_block(
         else:
             slot_bytes = remaining.size * _BYTES_PER_CELL
         length = min(length, max(1, tile_bytes // slot_bytes))
-        t1 = min(t0 + length, horizon)
-        width = t1 - t0
+        width = min(length, horizon - t0)
+        # Narrowing cannot make a sparse tile dense: the span test
+        # ``d > (rows - 1) * width`` only gets easier as width shrinks.
+        sparse = _sparse(live, width)
+        if sparse:
+            width = min(width, max(1, _SPARSE_TILE_BYTES // slot_bytes))
+        t1 = t0 + width
         with telemetry.span("stream.tile_assembly") as tile_span:
-            rows, built = _gather_tile(var, live, t0, width)
+            rows, built = _gather_tile(var, live, t0, width, sparse)
             fixed_row = fixed_rows.row(t0, t1)
             tile_span.add_bytes(built)
         with telemetry.span("stream.compare"):
@@ -819,8 +782,7 @@ def _scan_offsets(
     at ``offset``), ``fixed`` the one pinned at phase zero; ``-1``
     marks a miss within ``horizon``.  The sorted offset order is cut
     into ``plan.block_rows``-wide blocks; each block runs the kernel
-    independently (inline on one lane, over ``plan.workers`` thread
-    lanes otherwise) and writes its own disjoint result rows.
+    independently and writes its own disjoint result rows.
 
     With a ``recorder``, rows the checkpoint already resolved are
     answered from it and excluded from the scan; the surviving rows
@@ -846,28 +808,11 @@ def _scan_offsets(
     order = order[pending[order]]
     if order.size == 0:
         return result
-    blocks = [
-        order[lo : lo + plan.block_rows]
-        for lo in range(0, order.size, plan.block_rows)
-    ]
     fixed_rows = _FixedRowCache(fixed, plan.cells)
-    lanes = min(plan.workers, len(blocks))
-    if lanes > 1:
-        with ThreadPoolExecutor(max_workers=lanes) as pool:
-            futures = [
-                pool.submit(
-                    _scan_block, var, offsets, block, horizon, plan.tile_bytes,
-                    fixed_rows, result, int(starts[block].min()), recorder, gid,
-                    environment,
-                )
-                for block in blocks
-            ]
-            for future in futures:
-                future.result()
-    else:
-        for block in blocks:
-            _scan_block(
-                var, offsets, block, horizon, plan.tile_bytes, fixed_rows, result,
-                int(starts[block].min()), recorder, gid, environment,
-            )
+    for lo in range(0, order.size, plan.block_rows):
+        block = order[lo : lo + plan.block_rows]
+        _scan_block(
+            var, offsets, block, horizon, plan.tile_bytes, fixed_rows, result,
+            int(starts[block].min()), recorder, gid, environment,
+        )
     return result

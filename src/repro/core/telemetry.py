@@ -25,8 +25,8 @@ into, designed around three contracts:
 
 Spans nest: ``with span("runner.measure_pair"): ... with
 span("stream.sweep"): ...`` builds a tree per thread (each thread keeps
-its own stack; a span opened on a worker lane with an empty stack
-becomes its own root).  Durations come from the monotonic
+its own stack; a span opened on a thread with an empty stack becomes
+its own root).  Durations come from the monotonic
 ``perf_counter_ns`` clock; ``add_bytes`` attributes throughput to a
 span (the sweep kernel credits each tile's bytes to
 ``stream.tile_assembly``).  Pool workers serialize their registry with
@@ -147,8 +147,7 @@ class Telemetry:
 
     One module-level instance backs the functional API below; tests
     may construct private registries.  All mutation is lock-guarded so
-    thread lanes (the sweep kernel's block pool) aggregate safely;
-    reads via :meth:`snapshot` take the same lock and therefore see a
+    threads aggregate safely; reads via :meth:`snapshot` take the same lock and therefore see a
     consistent tree.
     """
 
@@ -207,7 +206,7 @@ class Telemetry:
         (names, nesting, ordering, call counts) is deterministic across
         runs and ``PYTHONHASHSEED`` values — only the measured
         ``seconds`` vary.  ``total_seconds`` sums the root spans'
-        durations (thread-lane roots overlap their parent in wall
+        durations (roots opened on other threads may overlap in wall
         time; see ``docs/OBSERVABILITY.md``).
         """
         with self._lock:

@@ -120,20 +120,14 @@ def ttr_profile(
     b: Schedule,
     shifts: Iterable[int],
     horizon: int,
-    tile_bytes: int | None = None,
-    stream_workers: int | None = None,
     environment: Environment | None = None,
 ) -> dict[int, int | None]:
     """TTR for each relative shift; ``None`` marks a miss within horizon.
 
-    ``tile_bytes`` / ``stream_workers`` tune the sweep kernel (see
-    :func:`repro.core.stream.ttr_sweep`); neither changes a result,
-    with or without an ``environment`` mask.
+    One :func:`repro.core.stream.ttr_sweep` pass, with or without an
+    ``environment`` mask.
     """
-    return stream.ttr_sweep(
-        a, b, shifts, horizon, tile_bytes=tile_bytes,
-        stream_workers=stream_workers, environment=environment,
-    )
+    return stream.ttr_sweep(a, b, shifts, horizon, environment=environment)
 
 
 def exhaustive_shift_range(a: Schedule, b: Schedule) -> range:
@@ -170,8 +164,6 @@ def max_ttr(
     b: Schedule,
     shifts: Iterable[int],
     horizon: int,
-    tile_bytes: int | None = None,
-    stream_workers: int | None = None,
     environment: Environment | None = None,
 ) -> int:
     """Maximum TTR over the given shifts.
@@ -180,13 +172,11 @@ def max_ttr(
     callers that expect guaranteed rendezvous should size the horizon
     above the theoretical bound (under an ``environment``, prefer
     :func:`degradation_report`: losing shifts is the object of study
-    there, not an error).  ``tile_bytes`` / ``stream_workers`` pass
-    through to :func:`repro.core.stream.ttr_sweep`.
+    there, not an error).
     """
     worst = -1
     for shift, ttr in ttr_profile(
-        a, b, shifts, horizon, tile_bytes=tile_bytes,
-        stream_workers=stream_workers, environment=environment,
+        a, b, shifts, horizon, environment=environment
     ).items():
         if ttr is None:
             raise AssertionError(
@@ -201,15 +191,13 @@ def verify_guarantee(
     b: Schedule,
     bound: int,
     shifts: Iterable[int] | None = None,
-    tile_bytes: int | None = None,
-    stream_workers: int | None = None,
     environment: Environment | None = None,
 ) -> tuple[bool, int, int | None]:
     """Check that every tested shift rendezvouses within ``bound`` slots.
 
     Returns ``(ok, worst_ttr, failing_shift)``.  With ``shifts=None`` the
     exhaustive shift range is used (exact certification for cyclic
-    schedules).  ``tile_bytes`` / ``stream_workers`` pass through to
+    schedules).  The sweeps go through
     :func:`repro.core.stream.ttr_sweep`, whose kernel never tables a
     period, so this certification works at any period size.
     ``environment`` checks the guarantee under a
@@ -225,8 +213,7 @@ def verify_guarantee(
         if not pending:
             return True, worst, None
         profile = stream.ttr_sweep(
-            a, b, pending, bound + 1, tile_bytes=tile_bytes,
-            stream_workers=stream_workers, environment=environment,
+            a, b, pending, bound + 1, environment=environment
         )
         for shift in pending:
             ttr = profile[shift]
@@ -246,8 +233,8 @@ class DegradationReport:
     ``(faulted + 1) / (clean + 1)`` (the +1 keeps slot-0 meetings
     finite) and summarized by its mean and max; ``faulted_worst`` is
     ``None`` when no shift survived.  Reports are plain data, built
-    from sweep profiles that are bit-identical under every tile plan
-    and lane count, so the report is too.
+    from sweep profiles that are bit-identical under every tile plan,
+    so the report is too.
     """
 
     bound: int
@@ -293,8 +280,6 @@ def degradation_report(
     bound: int,
     environment: Environment | None,
     shifts: Iterable[int] | None = None,
-    tile_bytes: int | None = None,
-    stream_workers: int | None = None,
 ) -> DegradationReport:
     """Measure guarantee survival and TTR inflation under a fault mask.
 
@@ -305,8 +290,7 @@ def degradation_report(
     distribution over the survivors.  ``shifts=None`` uses the
     exhaustive shift range (exact certification); ``environment=None``
     degenerates to a report with every shift surviving at inflation
-    1.0.  Kernel knobs pass through to
-    :func:`repro.core.stream.ttr_sweep`; no knob changes the report.
+    1.0.
     """
     from repro.core.environment import environment_digest as _env_digest
 
@@ -315,10 +299,9 @@ def degradation_report(
     if shifts is None:
         shifts = exhaustive_shift_range(a, b)
     shift_list = [int(s) for s in shifts]
-    sweep = dict(tile_bytes=tile_bytes, stream_workers=stream_workers)
-    clean = stream.ttr_sweep(a, b, shift_list, bound + 1, **sweep)
+    clean = stream.ttr_sweep(a, b, shift_list, bound + 1)
     faulted = stream.ttr_sweep(
-        a, b, shift_list, bound + 1, environment=environment, **sweep
+        a, b, shift_list, bound + 1, environment=environment
     )
     lost: list[int] = []
     survivors: list[int] = []

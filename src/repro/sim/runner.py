@@ -151,11 +151,10 @@ class SweepRunner:
     ``builds``/``attaches`` counters certify it.
 
     **Sweep contract.** Every pair the runner measures (workers
-    included) goes through :func:`repro.core.stream.ttr_sweep`, with
-    ``tile_bytes`` and the pair's lane count passed straight through:
-    the scalar loop for tiny joint periods, the blocked kernel for
+    included) goes through :func:`repro.core.stream.ttr_sweep`: the
+    scalar loop for tiny joint periods, the blocked kernel for
     everything else, so huge-period baselines (Jump-Stay at
-    ``n >= 128``) sweep transparently.  No knob changes a result.
+    ``n >= 128``) sweep transparently.
 
     **Process-pool contract.** ``measure_instance`` stays serial below
     ``MIN_PARALLEL_PAIRS`` pairs or when ``workers <= 1`` — there the
@@ -173,11 +172,10 @@ class SweepRunner:
     ``measure_pair`` consults the persistent result cache *before
     building any schedule* — a warm query costs one record read, not a
     sweep — and writes every computed measurement through after.  The
-    cache key is knob-invariant (see
-    :func:`repro.core.results.pair_query`), so results computed under
-    any tile/lane configuration answer queries made under any other;
-    parallel ``measure_instance`` workers consult and fill the
-    same on-disk cache.
+    cache key names the measurement, not how it ran (see
+    :func:`repro.core.results.pair_query`), so serial and fanned-out
+    runs answer each other; parallel ``measure_instance`` workers
+    consult and fill the same on-disk cache.
 
     **Checkpoint contract.** With ``checkpoint_dir=``, every sweep
     snapshots its progress into ``<query digest>.ckpt.json`` under
@@ -187,11 +185,8 @@ class SweepRunner:
     to uninterrupted ones.
 
     **Worker-budget contract.** ``workers`` sizes the process pool
-    across pairs; each pair's sweep runs on one lane.
-    ``stream_workers`` opts every pair's sweep into that many
-    intra-pair thread lanes instead (:func:`repro.core.stream.ttr_sweep`)
-    — worth it only for large strided sweeps, see ``docs/TUNING.md``.
-    Every split is bit-identical.
+    across pairs (:meth:`effective_workers`); each pair's sweep runs
+    in one thread of one process.  Every split is bit-identical.
 
     **Environment contract.** With ``environment=`` (an
     :class:`~repro.core.environment.Environment`, or a spec string for
@@ -210,8 +205,6 @@ class SweepRunner:
         self,
         workers: int | None = None,
         store: ScheduleStore | str | os.PathLike | None = None,
-        tile_bytes: int | None = None,
-        stream_workers: int | None = None,
         results: ResultStore | str | os.PathLike | None = None,
         checkpoint_dir: str | os.PathLike | None = None,
         environment: Environment | str | None = None,
@@ -226,12 +219,6 @@ class SweepRunner:
         self.checkpoint_dir = (
             None if checkpoint_dir is None else Path(checkpoint_dir)
         )
-        self.tile_bytes = tile_bytes
-        if stream_workers is not None and stream_workers < 1:
-            raise ValueError(
-                f"stream_workers must be positive, got {stream_workers}"
-            )
-        self.stream_workers = stream_workers
         if isinstance(environment, str):
             environment = parse_environment(environment)
         self.environment = environment
@@ -311,7 +298,6 @@ class SweepRunner:
         dense: int = 64,
         probes: int = 64,
         seed: int = 0,
-        stream_workers: int | None = None,
     ) -> MeasuredPair:
         """Measure TTR for one overlapping pair over the shift plan.
 
@@ -322,9 +308,6 @@ class SweepRunner:
         Under an attached fault environment misses are expected, so
         they are tallied in :attr:`MeasuredPair.missed` instead of
         raising and the aggregates cover only the shifts that met.
-        ``stream_workers`` pins the intra-pair lanes for this one
-        measurement; ``None`` takes the runner's lane count (see
-        :meth:`worker_budget`).
 
         With a result store attached, a cached measurement is returned
         *before any schedule is built* (the warm-query fast path) and a
@@ -351,16 +334,13 @@ class SweepRunner:
             plan = shift_plan(a, b, dense=dense, probes=probes, seed=seed)
             if not plan:
                 raise ValueError("empty shift plan: need dense > 0 or probes > 0")
-            if stream_workers is None:
-                stream_workers = self.worker_budget(1)[1]
             checkpoint = None
             if self.checkpoint_dir is not None:
                 checkpoint = SweepCheckpoint(
                     self.checkpoint_dir / f"{result_digest(query)}.ckpt.json"
                 )
             profile = ttr_sweep(
-                a, b, plan, horizon, tile_bytes=self.tile_bytes,
-                stream_workers=stream_workers, checkpoint=checkpoint,
+                a, b, plan, horizon, checkpoint=checkpoint,
                 environment=self.environment,
             )
             missed = 0
@@ -424,17 +404,6 @@ class SweepRunner:
             return self.workers
         return 1
 
-    def worker_budget(self, num_pairs: int) -> tuple[int, int]:
-        """Split the worker budget: ``(pair_processes, stream_lanes)``.
-
-        Processes go to the pair fan-out (``effective_workers``); every
-        pair's sweep runs on one lane unless ``stream_workers`` opts it
-        into more.  Extra lanes pay only on large strided sweeps — on
-        the small sweeps most jobs run, starting the thread pool costs
-        more than it saves (``docs/TUNING.md``).
-        """
-        return self.effective_workers(num_pairs), self.stream_workers or 1
-
     def measure_instance(
         self,
         instance: Instance,
@@ -453,7 +422,7 @@ class SweepRunner:
         pairs = instance.overlapping_pairs()
         if max_pairs is not None:
             pairs = pairs[:max_pairs]
-        pool_workers, stream_lanes = self.worker_budget(len(pairs))
+        pool_workers = self.effective_workers(len(pairs))
         if pool_workers > 1:
             store_handle = None
             if self.store is not None:
@@ -477,9 +446,8 @@ class SweepRunner:
             payloads = [
                 (
                     instance, algorithm, pair, horizon, dense, probes, seed,
-                    store_handle, self.tile_bytes, stream_lanes,
-                    results_handle, checkpoint_handle, self.environment,
-                    telemetry.enabled(),
+                    store_handle, results_handle, checkpoint_handle,
+                    self.environment, telemetry.enabled(),
                 )
                 for pair in pairs
             ]
@@ -504,7 +472,6 @@ class SweepRunner:
                 self.measure_pair(
                     instance, algorithm, pair, horizon,
                     dense=dense, probes=probes, seed=seed,
-                    stream_workers=stream_lanes,
                 )
                 for pair in pairs
             ]
@@ -569,12 +536,12 @@ def _measure_pair_task(payload: tuple) -> tuple[MeasuredPair, dict | None]:
     """
     (
         instance, algorithm, pair, horizon, dense, probes, seed,
-        store_handle, tile_bytes, stream_lanes,
-        results_handle, checkpoint_handle, environment, telemetry_on,
+        store_handle, results_handle, checkpoint_handle, environment,
+        telemetry_on,
     ) = payload
     runner_key = (
-        store_handle, tile_bytes, stream_lanes,
-        results_handle, checkpoint_handle, environment_digest(environment),
+        store_handle, results_handle, checkpoint_handle,
+        environment_digest(environment),
     )
     runner = _WORKER_RUNNERS.get(runner_key)
     if runner is None:
@@ -589,8 +556,7 @@ def _measure_pair_task(payload: tuple) -> tuple[MeasuredPair, dict | None]:
             results_dir, results_cap = results_handle
             results = ResultStore(results_dir, memory_cap=results_cap)
         runner = SweepRunner(
-            workers=1, store=store, tile_bytes=tile_bytes,
-            stream_workers=stream_lanes, results=results,
+            workers=1, store=store, results=results,
             checkpoint_dir=checkpoint_handle, environment=environment,
         )
         _WORKER_RUNNERS[runner_key] = runner

@@ -6,7 +6,7 @@ ships, ``ttr_sweep`` must return exactly what a per-shift loop over
 ``ttr_for_shift`` returns — including ``None`` misses, negative shifts,
 duplicate shifts, and degenerate horizons — and its dispatch between
 the scalar loop and the kernel depends on the joint period alone.
-Kernel mechanics (tiles, lanes, checkpoints) are tested in
+Kernel mechanics (tiles, checkpoints) are tested in
 ``test_stream.py``.
 """
 
@@ -19,7 +19,7 @@ import pytest
 import repro
 from repro.core import stream, telemetry
 from repro.core.schedule import _CACHE_LIMIT, CyclicSchedule, FunctionSchedule
-from repro.core.stream import SCALAR_JOINT_LIMIT, ttr_sweep
+from repro.core.stream import SCALAR_JOINT_LIMIT, plan_tiles, ttr_sweep
 from repro.core.verification import (
     exhaustive_shift_range,
     max_ttr,
@@ -111,7 +111,8 @@ def test_chunking_is_invisible():
     shifts = list(range(-50, 400))
     reference = ttr_sweep(a, b, shifts, 20_000)
     for tile_bytes in (8, 512, 8192):
-        assert ttr_sweep(a, b, shifts, 20_000, tile_bytes=tile_bytes) == reference
+        plan = plan_tiles(len(shifts), 20_000, tile_bytes=tile_bytes)
+        assert ttr_sweep(a, b, shifts, 20_000, plan=plan) == reference
 
 
 def test_duplicate_and_empty_shift_lists():

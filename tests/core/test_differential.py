@@ -1,8 +1,7 @@
 """Randomized differential harness: ``ttr_sweep`` vs the scalar loop.
 
 Two sweep paths (the scalar loop and the blocked kernel), pinned tile
-plans, thread lanes, three fault-environment families and short
-horizons span more execution configurations than a hand-enumerated
+plans, three fault-environment families and short horizons span more execution configurations than a hand-enumerated
 parity matrix covers.  This harness draws random points from that space
 — (algorithm, workload, environment, configuration, shift set, horizon)
 — and asserts the resulting TTR profile is **bit-identical** to the
@@ -77,7 +76,7 @@ ENVIRONMENTS = (
 
 #: ``auto``: ``ttr_sweep`` as callers use it (the scalar loop for tiny
 #: joint periods, the kernel otherwise); ``kernel``: the kernel under a
-#: pinned :class:`TilePlan`, thread lanes included.
+#: pinned :class:`TilePlan`.
 ENGINE_CONFIGS = ("auto", "kernel")
 
 
@@ -98,7 +97,6 @@ def _draw_case(rng: random.Random) -> dict:
         plan = TilePlan(
             tile_bytes=rng.choice((1 << 14, 1 << 16)),
             block_rows=rng.choice((1, 2, 7, 64)),  # 1: fully degenerate
-            workers=rng.choice((1, 2, 4)),
         )
     return {
         "algorithm": algorithm,

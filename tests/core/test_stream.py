@@ -1,7 +1,7 @@
 """Parity tests: ``ttr_sweep`` (scalar loop + blocked kernel) vs scalar.
 
-The contract is bit-identical profiles at any period size, tile budget
-and lane count: for every workload the library ships, ``ttr_sweep``
+The contract is bit-identical profiles at any period size and under
+any tile plan: for every workload the library ships, ``ttr_sweep``
 must return exactly what a per-shift loop over ``ttr_for_shift``
 returns — including ``None`` misses, negative shifts, duplicate
 shifts, degenerate horizons, and tiles smaller than one period.
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from repro.core.schedule import _CACHE_LIMIT, CyclicSchedule, FunctionSchedule
 from repro.core.stream import TilePlan, plan_tiles, ttr_sweep
 from repro.core.verification import (
     exhaustive_shift_range,
+    strided_shift_range,
     ttr_for_shift,
     verify_guarantee,
 )
@@ -49,6 +51,10 @@ WORKLOADS = {
 
 SHIFTS = list(range(-40, 120)) + [997, 12_345, -733]
 
+#: 64-byte tiles of one shift row each: many time-block boundaries, so
+#: checkpoint snapshots land early and an injected death falls mid-scan.
+TINY = TilePlan(tile_bytes=64, block_rows=1)
+
 
 def _scalar(a, b, shifts, horizon):
     return {s: ttr_for_shift(a, b, s, horizon) for s in shifts}
@@ -67,7 +73,8 @@ def test_three_way_parity_across_workloads(kind, algorithm):
         b = repro.build_schedule(instance.sets[j], instance.n, algorithm=algorithm)
         horizon = 4 * max(a.period, b.period)
         swept = ttr_sweep(a, b, SHIFTS, horizon)
-        assert swept == ttr_sweep(a, b, SHIFTS, horizon, tile_bytes=4096)
+        small = TilePlan(tile_bytes=4096, block_rows=2)
+        assert swept == ttr_sweep(a, b, SHIFTS, horizon, plan=small)
         assert swept == _scalar(a, b, SHIFTS, horizon)
 
 
@@ -81,13 +88,19 @@ def test_tile_boundaries_are_invisible(tile_bytes):
     b = repro.build_schedule(instance.sets[1], 32)
     shifts = list(range(-50, 400))
     reference = _scalar(a, b, shifts, 20_000)
-    assert ttr_sweep(a, b, shifts, 20_000, tile_bytes=tile_bytes) == reference
+    plan = plan_tiles(len(shifts), 20_000, tile_bytes=tile_bytes)
+    assert ttr_sweep(a, b, shifts, 20_000, plan=plan) == reference
 
 
 def test_tile_budget_validation():
+    """A tile budget is pinned through a validated plan; the sweep takes
+    no tile budget or lane count of its own."""
     a, b = CyclicSchedule([1, 2]), CyclicSchedule([2, 3])
     with pytest.raises(ValueError, match="tile_bytes"):
-        ttr_sweep(a, b, [0], 10, tile_bytes=0)
+        ttr_sweep(a, b, [0], 10, plan=TilePlan(tile_bytes=0, block_rows=1))
+    for knob in ("tile_bytes", "stream_workers"):
+        with pytest.raises(TypeError, match=knob):
+            ttr_sweep(a, b, [0], 10, **{knob: 4096})
 
 
 def test_parity_exhaustive_range():
@@ -164,19 +177,22 @@ def test_sparse_offsets_use_per_row_generation():
     stride = max(1, a.period // 7)
     shifts = list(range(0, a.period, stride)) + [-1, -stride]
     horizon = 4 * a.period
-    assert ttr_sweep(a, b, shifts, horizon, tile_bytes=256) == _scalar(
+    plan = TilePlan(tile_bytes=256, block_rows=1)
+    assert ttr_sweep(a, b, shifts, horizon, plan=plan) == _scalar(
         a, b, shifts, horizon
     )
 
 
-def test_verify_guarantee_through_stream_engine():
+def test_verify_guarantee_through_stream_engine(monkeypatch):
     """Exhaustive certification through the kernel gives the same
-    verdict on tiny tiles."""
+    verdict on the smallest tiles the planner makes (a 32 KiB L2)."""
     a = repro.build_schedule([1, 5], 16, algorithm="zos")
     b = repro.build_schedule([5, 9], 16, algorithm="zos")
     bound = math.lcm(a.period, b.period)
     default = verify_guarantee(a, b, bound)
-    tiny = verify_guarantee(a, b, bound, tile_bytes=4096)
+    monkeypatch.setattr(stream_module, "l2_cache_bytes", lambda: 1 << 15)
+    assert plan_tiles(10, bound).tile_bytes == 1 << 14
+    tiny = verify_guarantee(a, b, bound)
     assert default == tiny
     assert tiny[0]
 
@@ -190,7 +206,9 @@ def test_kernel_records_its_tile_plan():
     telemetry.enable()
     telemetry.reset()
     try:
-        profile = ttr_sweep(a, b, shifts, 4 * a.period, tile_bytes=4096)
+        profile = ttr_sweep(
+            a, b, shifts, 4 * a.period, plan=TilePlan(tile_bytes=4096, block_rows=2)
+        )
         snap = telemetry.snapshot()
     finally:
         telemetry.disable()
@@ -203,9 +221,7 @@ def test_kernel_records_its_tile_plan():
     assert counters["sweep.classes"] == len(
         stream_module.reduce_shifts(a, b, shifts)[0]
     )
-    assert gauges["sweep.lanes"] == 1
-    assert gauges["sweep.tile_bytes"] == 4096
-    assert gauges["sweep.block_rows"] >= 1
+    assert gauges == {"sweep.block_rows": 2, "sweep.tile_bytes": 4096}
     assert "stream.sweep" in snap["spans"]
     sweep_children = snap["spans"]["stream.sweep"]["children"]
     assert sweep_children["stream.reduce"]["calls"] == 1
@@ -297,15 +313,18 @@ class TestShiftBookkeeping:
 
 
 class TestParallelScan:
-    """Thread lanes vs the one-lane kernel, and vs the scalar loop."""
+    """Independent shift blocks, scanned one after another: how the
+    rows are cut into blocks never shows in a profile."""
 
-    @pytest.mark.parametrize("workers", [1, 2, 8])
+    @pytest.mark.parametrize("block_rows", [1, 2, 8])
     @pytest.mark.parametrize("algorithm", ["paper", "jump-stay", "zos"])
-    def test_parallel_matches_serial_reference(self, workers, algorithm):
-        """Bit-identical per cell at every lane count, on every workload
-        generator.  The serial reference is the one-lane kernel, which
+    def test_parallel_matches_serial_reference(self, block_rows, algorithm):
+        """Bit-identical per cell at every block width, on every workload
+        generator.  Blocks are the kernel's independent work items, and
+        the serial reference is the default plan, which
         ``test_three_way_parity_across_workloads`` certifies against the
         scalar loop on these same workloads."""
+        plan = TilePlan(tile_bytes=1 << 16, block_rows=block_rows)
         for kind in sorted(WORKLOADS):
             instance = WORKLOADS[kind]()
             i, j = instance.overlapping_pairs()[0]
@@ -313,74 +332,53 @@ class TestParallelScan:
             b = repro.build_schedule(instance.sets[j], instance.n, algorithm=algorithm)
             horizon = 4 * max(a.period, b.period)
             serial = ttr_sweep(a, b, SHIFTS, horizon)
-            assert ttr_sweep(a, b, SHIFTS, horizon, stream_workers=workers) == serial
+            assert ttr_sweep(a, b, SHIFTS, horizon, plan=plan) == serial
 
     def test_parallel_matches_scalar_loop(self):
-        """The parallel scan also agrees with the independent scalar path."""
+        """A scan over many blocks also agrees with the independent
+        scalar path."""
         instance = single_overlap(32, 3, 4, seed=7)
         a = repro.build_schedule(instance.sets[0], 32, algorithm="crseq")
         b = repro.build_schedule(instance.sets[1], 32, algorithm="crseq")
         shifts = list(range(-60, 200)) + [5 * a.period + 3, -2 * b.period - 7]
         horizon = 4 * max(a.period, b.period)
-        assert ttr_sweep(a, b, shifts, horizon, stream_workers=4) == _scalar(
+        plan = TilePlan(tile_bytes=4096, block_rows=4)
+        assert ttr_sweep(a, b, shifts, horizon, plan=plan) == _scalar(
             a, b, shifts, horizon
         )
 
     @pytest.mark.parametrize("block_rows", [1, 2, 3])
     def test_blocks_smaller_than_one_tile(self, block_rows):
         """Degenerate pinned plans — shift blocks far narrower than a
-        tile could hold, more blocks than workers — change nothing."""
+        tile could hold — change nothing."""
         instance = single_overlap(32, 3, 4, seed=9)
         a = repro.build_schedule(instance.sets[0], 32, algorithm="jump-stay")
         b = repro.build_schedule(instance.sets[1], 32, algorithm="jump-stay")
         shifts = list(range(-40, 90))
         horizon = 4 * max(a.period, b.period)
         reference = _scalar(a, b, shifts, horizon)
-        plan = TilePlan(tile_bytes=4096, block_rows=block_rows, workers=2)
+        plan = TilePlan(tile_bytes=4096, block_rows=block_rows)
         assert ttr_sweep(a, b, shifts, horizon, plan=plan) == reference
 
-    def test_worker_counts_beyond_blocks_are_harmless(self):
-        a, b = CyclicSchedule([1, 2, 3] * 30), CyclicSchedule([3, 1] * 20)
-        shifts = [0, 1, -1, 5]
-        expected = _scalar(a, b, shifts, 300)
-        assert ttr_sweep(a, b, shifts, 300, stream_workers=16) == expected
-
-    def test_dispatcher_forwards_stream_workers(self):
-        """``ttr_sweep(stream_workers=...)`` is the same computation at
-        any lane count."""
-        instance = single_overlap(16, 3, 3, seed=2)
-        a = repro.build_schedule(instance.sets[0], 16, algorithm="zos")
-        b = repro.build_schedule(instance.sets[1], 16, algorithm="zos")
-        horizon = 4 * max(a.period, b.period)
-        one = ttr_sweep(a, b, SHIFTS, horizon, stream_workers=1)
-        four = ttr_sweep(a, b, SHIFTS, horizon, stream_workers=4)
-        assert one == four == _scalar(a, b, SHIFTS, horizon)
-
     def test_default_never_starts_a_thread_pool(self, monkeypatch):
-        """Without a lane argument the kernel runs inline, one lane;
-        ``stream_workers=2`` fans out and stays bit-identical."""
+        """The kernel scans every block in the calling thread: a sweep
+        over many blocks starts no thread, default plan or pinned."""
         instance = single_overlap(32, 3, 4, seed=9)
         a = repro.build_schedule(instance.sets[0], 32, algorithm="jump-stay")
         b = repro.build_schedule(instance.sets[1], 32, algorithm="jump-stay")
         shifts = list(range(-300, 300, 3))
         horizon = 4 * max(a.period, b.period)
-        pools = []
-        real = stream_module.ThreadPoolExecutor
 
-        def spy(*args, **kwargs):
-            pools.append(kwargs.get("max_workers"))
-            return real(*args, **kwargs)
+        def no_thread(*args, **kwargs):  # pragma: no cover - guard only
+            raise AssertionError("a sweep must not start a thread")
 
-        monkeypatch.setattr(stream_module, "ThreadPoolExecutor", spy)
-        one_lane = ttr_sweep(a, b, shifts, horizon, tile_bytes=4096)
-        assert pools == [], "the default sweep must not start a thread pool"
-        assert ttr_sweep(a, b, shifts, horizon) == one_lane
-        assert pools == []
-        two_lanes = ttr_sweep(a, b, shifts, horizon, tile_bytes=4096, stream_workers=2)
-        assert pools and all(lanes == 2 for lanes in pools)
-        assert two_lanes == one_lane
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        blocked = ttr_sweep(
+            a, b, shifts, horizon, plan=TilePlan(tile_bytes=4096, block_rows=2)
+        )
+        assert ttr_sweep(a, b, shifts, horizon) == blocked
         sample = shifts[::25]
-        assert {s: one_lane[s] for s in sample} == _scalar(a, b, sample, horizon)
+        assert {s: blocked[s] for s in sample} == _scalar(a, b, sample, horizon)
 
 
 #: sha256 of ``period_table()`` for the set {1, 5, 9}: an edit to a
@@ -489,7 +487,7 @@ class TestViewTiles:
 
         monkeypatch.setattr(stream_module, "_narrow", spy)
         offsets = np.arange(40, 90, dtype=np.int64)
-        tile, built = stream_module._gather_tile(schedule, offsets, 7, 33)
+        tile, built = stream_module._gather_tile(schedule, offsets, 7, 33, False)
         (chunk,) = chunks
         assert chunk.dtype == np.int16
         assert np.shares_memory(tile, chunk)
@@ -501,7 +499,7 @@ class TestViewTiles:
         table = np.arange(100_000, 100_500, dtype=np.int64)
         schedule = stream_module._coerce_schedule(table)
         offsets = np.arange(10, 30, dtype=np.int64)
-        tile, built = stream_module._gather_tile(schedule, offsets, 5, 64)
+        tile, built = stream_module._gather_tile(schedule, offsets, 5, 64, False)
         assert tile.dtype == np.int64
         assert np.shares_memory(tile, table)
         assert built == (offsets.size + 64 - 1) * 8
@@ -514,10 +512,11 @@ class TestViewTiles:
     )
     def test_other_offsets_gather_the_same_values(self, offsets):
         offsets = np.asarray(offsets, dtype=np.int64)
+        sparse = stream_module._sparse(offsets, 16)
         for algorithm in ("crseq", "jump-stay"):
             schedule = repro.build_schedule([1, 5, 9], 32, algorithm=algorithm)
             t0 = schedule.period - 3
-            tile, built = stream_module._gather_tile(schedule, offsets, t0, 16)
+            tile, built = stream_module._gather_tile(schedule, offsets, t0, 16, sparse)
             assert built == tile.nbytes
             np.testing.assert_array_equal(
                 tile, _old_gather(schedule, offsets, t0, 16)
@@ -536,7 +535,7 @@ class TestViewTiles:
             sequence[zero] = 0
         a, b = CyclicSchedule(sequence), CyclicSchedule([0] * 5)
         shifts = list(exhaustive_shift_range(a, b))
-        plan = TilePlan(tile_bytes=tile_bytes, block_rows=64, workers=1)
+        plan = TilePlan(tile_bytes=tile_bytes, block_rows=64)
         profile = ttr_sweep(a, b, shifts, 16, plan=plan)
         assert profile == _scalar(a, b, shifts, 16)
         assert [profile[s] for s in (0, 7, 40, 33, 41, 32, 25)] == [
@@ -551,7 +550,7 @@ class TestViewTiles:
         a = CyclicSchedule(np.arange(97) % 11)
         b = CyclicSchedule(np.arange(89) % 7)
         horizon = 50
-        plan = TilePlan(tile_bytes=1 << 20, block_rows=256, workers=1)
+        plan = TilePlan(tile_bytes=1 << 20, block_rows=256)
         shifts = exhaustive_shift_range(a, b)
         profile, snap = _kernel_snapshot(a, b, shifts, horizon, plan=plan)
         assert profile == _scalar(a, b, shifts, horizon)
@@ -560,18 +559,19 @@ class TestViewTiles:
         chunk_ids = (97 + horizon - 1) + (88 + horizon - 1)
         assert assembly["bytes"] == 2 * chunk_ids
 
-    def test_block_rows_follow_the_tile_kind(self):
+    def test_block_rows_follow_the_tile_kind(self, monkeypatch):
         # The sweep records which budget its last sign group ran under:
         # consecutive offsets with no environment budget one mask byte
         # per cell; an environment or strided shifts budget 8 bytes.
+        # A 2 MiB L2 makes the auto tile 1 MiB.
+        monkeypatch.setattr(stream_module, "l2_cache_bytes", lambda: 1 << 21)
         rng = np.random.default_rng(3)
         a = CyclicSchedule(rng.integers(0, 8, size=5003))
         b = CyclicSchedule(rng.integers(0, 8, size=4999))
 
         def block_rows(shifts, environment=None):
-            _, snap = _kernel_snapshot(
-                a, b, shifts, 1000, tile_bytes=1 << 20, environment=environment
-            )
+            _, snap = _kernel_snapshot(a, b, shifts, 1000, environment=environment)
+            assert snap["gauges"]["sweep.tile_bytes"] == 1 << 20
             return snap["gauges"]["sweep.block_rows"]
 
         exhaustive = exhaustive_shift_range(a, b)
@@ -581,12 +581,71 @@ class TestViewTiles:
         assert block_rows(strided) == (1 << 20) // 8 // 256
 
 
+def _spy_gathers(monkeypatch):
+    """Record ``(rows, width, sparse, bytes built)`` of every tile."""
+    tiles = []
+    gather = stream_module._gather_tile
+
+    def spy(schedule, offsets, t0, width, sparse):
+        tile, built = gather(schedule, offsets, t0, width, sparse)
+        tiles.append((offsets.size, width, sparse, built))
+        return tile, built
+
+    monkeypatch.setattr(stream_module, "_gather_tile", spy)
+    return tiles
+
+
+class TestSparseTileCap:
+    """Gathered tiles stay within 64 KiB, half of glibc's default 128 KiB
+    mmap threshold, so no sparse tile is mapped and faulted in afresh."""
+
+    def test_strided_jump_stay_builds_no_tile_above_the_cap(self, monkeypatch):
+        # The auto plan gives this sweep 512-row blocks: a 256-slot
+        # first window would gather 1 MiB of ids per tile.
+        instance = single_overlap(128, 3, 3, seed=0)
+        a = repro.build_schedule(instance.sets[0], 128, algorithm="jump-stay")
+        b = repro.build_schedule(instance.sets[1], 128, algorithm="jump-stay")
+        shifts = strided_shift_range(a, b, 2000)
+        horizon = 4 * max(a.period, b.period)
+        tiles = _spy_gathers(monkeypatch)
+        profile = ttr_sweep(a, b, shifts, horizon)
+        sparse = [built for _, _, is_sparse, built in tiles if is_sparse]
+        assert sparse, "a strided sweep must gather sparse tiles"
+        assert max(sparse) <= 64 << 10
+        sample = list(shifts)[::100]
+        assert {s: profile[s] for s in sample} == _scalar(a, b, sample, horizon)
+
+    def test_capped_tile_retires_first_slot_last_slot_and_never(self, monkeypatch):
+        # 64 shift rows 512 offsets apart make one sparse block.  The
+        # 1 MiB tile allows 256-slot windows, the cap 65536 // (64 * 8)
+        # = 128 slots: the block scans [0, 128) then [128, 256).  ``b``
+        # always plays channel 0, so row k meets at the first zero of
+        # ``a`` at or after 512 k: at a window's first or last slot, or
+        # never within the horizon.
+        meets = {0: 0, 1: 127, 2: 128, 3: 255, 4: None, 5: 64}
+        sequence = np.ones(64 * 512, dtype=np.int64)
+        for row, ttr in meets.items():
+            if ttr is not None:
+                sequence[512 * row + ttr] = 0
+        sequence[512 * 4 + 256] = 0  # row 4 meets just past the horizon
+        a, b = CyclicSchedule(sequence), CyclicSchedule([0] * 5)
+        shifts = list(range(0, a.period, 512))
+        plan = TilePlan(tile_bytes=1 << 20, block_rows=64)
+        tiles = _spy_gathers(monkeypatch)
+        profile = ttr_sweep(a, b, shifts, 256, plan=plan)
+        assert profile == _scalar(a, b, shifts, 256)
+        assert [profile[512 * row] for row in meets] == list(meets.values())
+        assert all(profile[s] is None for s in shifts[6:])
+        assert tiles[0] == (64, 128, True, 64 << 10)
+        assert [width for _, width, _, _ in tiles] == [128, 128]
+
+
 class TestTilePlanner:
     """plan_tiles: deterministic, cache-aware, shape-aware."""
 
     def test_same_inputs_same_plan(self):
-        first = plan_tiles(2000, 1 << 20, workers=4)
-        second = plan_tiles(2000, 1 << 20, workers=4)
+        first = plan_tiles(2000, 1 << 20)
+        second = plan_tiles(2000, 1 << 20)
         assert first == second
 
     def test_no_wall_clock_dependence(self, monkeypatch):
@@ -599,49 +658,35 @@ class TestTilePlanner:
 
         for name in ("time", "perf_counter", "monotonic", "process_time"):
             monkeypatch.setattr(time_module, name, boom)
-        assert plan_tiles(500, 10_000, workers=2) == plan_tiles(500, 10_000, workers=2)
+        assert plan_tiles(500, 10_000) == plan_tiles(500, 10_000)
 
-    def test_tile_from_l2_and_l3_budget(self):
-        # One lane: half of L2. Four lanes: additionally capped so all
-        # tiles together leave half the L3 free.
-        caches = (1 << 21, 1 << 22)  # 2 MiB L2, 4 MiB L3
-        solo = plan_tiles(10_000, 1 << 20, workers=1, caches=caches)
-        assert solo.tile_bytes == 1 << 20  # half the L2
-        four = plan_tiles(10_000, 1 << 20, workers=4, caches=caches)
-        assert four.tile_bytes == (1 << 21) // 4  # half the L3, split 4 ways
-        assert four.workers == 4
+    def test_tile_from_l2_budget(self, monkeypatch):
+        # Half the L2, clamped to 16 KiB .. 8 MiB.
+        for l2, tile in ((1 << 21, 1 << 20), (1 << 10, 1 << 14), (1 << 26, 1 << 23)):
+            monkeypatch.setattr(stream_module, "l2_cache_bytes", lambda: l2)
+            assert plan_tiles(10_000, 1 << 20).tile_bytes == tile
 
     def test_default_plans_one_lane(self):
+        # A plan is a tile budget and a block width, nothing more: no
+        # lane count to set or fan blocks out over.
         plan = plan_tiles(10_000, 1 << 20)
-        assert plan.workers == 1
-        assert plan == plan_tiles(10_000, 1 << 20, workers=1)
+        assert set(vars(plan)) == {"tile_bytes", "block_rows"}
+        with pytest.raises(TypeError, match="workers"):
+            plan_tiles(10_000, 1 << 20, workers=2)
 
     def test_explicit_tile_bytes_pins_budget(self):
-        plan = plan_tiles(100, 1000, workers=2, tile_bytes=4096)
+        plan = plan_tiles(100, 1000, tile_bytes=4096)
         assert plan.tile_bytes == 4096
 
     def test_serial_blocks_fill_the_tile(self):
-        plan = plan_tiles(10_000, 1 << 20, workers=1, tile_bytes=1 << 20)
+        plan = plan_tiles(10_000, 1 << 20, tile_bytes=1 << 20)
         assert plan.block_rows == (1 << 20) // 8 // 256
-        assert plan.workers == 1
 
     def test_contiguous_blocks_budget_the_compare_mask(self):
         # A copy-free window view allocates one mask byte per cell, not
         # an 8-byte id, so the same tile holds 8x the rows.
-        plan = plan_tiles(
-            10_000, 1 << 20, workers=1, tile_bytes=1 << 20, contiguous=True
-        )
+        plan = plan_tiles(10_000, 1 << 20, tile_bytes=1 << 20, contiguous=True)
         assert plan.block_rows == (1 << 20) // 256
-
-    def test_parallel_blocks_split_for_load_balance(self):
-        plan = plan_tiles(1000, 1 << 20, workers=4, tile_bytes=1 << 20)
-        # 4 lanes x 4 blocks per lane -> ceil(1000 / 16) rows per block.
-        assert plan.block_rows == 63
-        assert plan.workers == 4
-
-    def test_workers_clamped_to_blocks(self):
-        plan = plan_tiles(3, 1000, workers=8, tile_bytes=1 << 20)
-        assert plan.workers <= 3
 
     def test_validation(self):
         with pytest.raises(ValueError, match="tile_bytes"):
@@ -649,16 +694,14 @@ class TestTilePlanner:
         with pytest.raises(ValueError, match="num_offsets"):
             plan_tiles(-1, 100)
         with pytest.raises(ValueError, match="tile_bytes"):
-            TilePlan(tile_bytes=0, block_rows=1, workers=1)
+            TilePlan(tile_bytes=0, block_rows=1)
         with pytest.raises(ValueError, match="block_rows"):
-            TilePlan(tile_bytes=64, block_rows=0, workers=1)
-        with pytest.raises(ValueError, match="workers"):
-            TilePlan(tile_bytes=64, block_rows=1, workers=0)
+            TilePlan(tile_bytes=64, block_rows=0)
 
     def test_cache_probe_is_memoized_and_sane(self):
-        l2, l3 = stream_module.cache_sizes()
-        assert stream_module.cache_sizes() == (l2, l3)
-        assert 0 < l2 <= l3
+        l2 = stream_module.l2_cache_bytes()
+        assert stream_module.l2_cache_bytes() == l2
+        assert l2 > 0
 
 
 class _FailingSink(stream_module.SweepCheckpoint):
@@ -696,27 +739,28 @@ class TestCheckpointResume:
         # lands mid-scan with real partial progress on disk.
         dying = _FailingSink(path, fail_after=3)
         with pytest.raises(RuntimeError, match="injected"):
-            ttr_sweep(
-                a, b, SHIFTS, horizon, tile_bytes=64, stream_workers=1, checkpoint=dying
-            )
+            ttr_sweep(a, b, SHIFTS, horizon, plan=TINY, checkpoint=dying)
         assert path.exists(), "interruption must leave the last snapshot"
         resumed = ttr_sweep(
-            a, b, SHIFTS, horizon, tile_bytes=64, stream_workers=1,
+            a, b, SHIFTS, horizon, plan=TINY,
             checkpoint=stream_module.SweepCheckpoint(path),
         )
         assert resumed == baseline
 
     def test_interrupted_parallel_scan_resumes(self, tmp_path):
+        """A scan over several multi-row blocks, cut after its fifth
+        snapshot, resumes with its surviving rows re-blocked."""
         a, b, horizon = self._pair("paper")
         baseline = ttr_sweep(a, b, SHIFTS, horizon)
         path = tmp_path / "sweep.ckpt.json"
+        plan = TilePlan(tile_bytes=64, block_rows=4)
         with pytest.raises(RuntimeError, match="injected"):
             ttr_sweep(
-                a, b, SHIFTS, horizon, tile_bytes=64, stream_workers=4,
+                a, b, SHIFTS, horizon, plan=plan,
                 checkpoint=_FailingSink(path, fail_after=5),
             )
         resumed = ttr_sweep(
-            a, b, SHIFTS, horizon, tile_bytes=64, stream_workers=4,
+            a, b, SHIFTS, horizon, plan=plan,
             checkpoint=stream_module.SweepCheckpoint(path),
         )
         assert resumed == baseline
@@ -730,7 +774,7 @@ class TestCheckpointResume:
         a, b, horizon = self._pair("zos")
         path = tmp_path / "sweep.ckpt.json"
         first = ttr_sweep(
-            a, b, SHIFTS, horizon, tile_bytes=64, stream_workers=1,
+            a, b, SHIFTS, horizon, plan=TINY,
             checkpoint=stream_module.SweepCheckpoint(path),
         )
 
@@ -739,7 +783,7 @@ class TestCheckpointResume:
 
         monkeypatch.setattr(stream_module, "_gather_tile", no_gather)
         replayed = ttr_sweep(
-            a, b, SHIFTS, horizon, tile_bytes=64, stream_workers=1,
+            a, b, SHIFTS, horizon, plan=TINY,
             checkpoint=stream_module.SweepCheckpoint(path),
         )
         assert replayed == first
@@ -752,7 +796,7 @@ class TestCheckpointResume:
         horizon = 2 * max(a.period, b.period)
         path = tmp_path / "sweep.ckpt.json"
         first = ttr_sweep(
-            a, b, SHIFTS, horizon, tile_bytes=64, stream_workers=1,
+            a, b, SHIFTS, horizon, plan=TINY,
             checkpoint=stream_module.SweepCheckpoint(path),
         )
         assert set(first.values()) == {None}
@@ -765,13 +809,13 @@ class TestCheckpointResume:
         a, b, horizon = self._pair("paper")
         path = tmp_path / "sweep.ckpt.json"
         ttr_sweep(
-            a, b, SHIFTS, horizon // 2, tile_bytes=64, stream_workers=1,
+            a, b, SHIFTS, horizon // 2, plan=TINY,
             checkpoint=stream_module.SweepCheckpoint(path),
         )
         # Same sink path, different horizon: the spec digest differs, so
         # the stale snapshot must not contaminate the fresh sweep.
         fresh = ttr_sweep(
-            a, b, SHIFTS, horizon, tile_bytes=64, stream_workers=1,
+            a, b, SHIFTS, horizon, plan=TINY,
             checkpoint=stream_module.SweepCheckpoint(path),
         )
         assert fresh == ttr_sweep(a, b, SHIFTS, horizon)
@@ -811,11 +855,11 @@ class TestCheckpointResume:
         shifts, horizon = range(-300, 300), 4 * first[0].period
         path = tmp_path / "sweep.ckpt.json"
         before = ttr_sweep(
-            *first, shifts, horizon, stream_workers=1,
+            *first, shifts, horizon,
             checkpoint=stream_module.SweepCheckpoint(path),
         )
         after = ttr_sweep(
-            *second, shifts, horizon, stream_workers=1,
+            *second, shifts, horizon,
             checkpoint=stream_module.SweepCheckpoint(path),
         )
         assert after == ttr_sweep(*second, shifts, horizon)

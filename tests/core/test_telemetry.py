@@ -29,7 +29,7 @@ import pytest
 import repro
 from repro.core import telemetry
 from repro.core.schedule import CyclicSchedule
-from repro.core.stream import ttr_sweep
+from repro.core.stream import TilePlan, ttr_sweep
 from repro.core.verification import strided_shift_range
 from repro.sim import runner
 from repro.sim.workloads import random_subsets, single_overlap
@@ -181,7 +181,8 @@ class TestRegistryBasics:
         telemetry.enable()
         with telemetry.span("outer"):
             ttr_sweep(
-                a, b, range(-a.period, a.period), 4 * a.period, tile_bytes=4096
+                a, b, range(-a.period, a.period), 4 * a.period,
+                plan=TilePlan(tile_bytes=4096, block_rows=2),
             )
         snap = telemetry.snapshot()
         assert "(self)" not in json.dumps(snap)

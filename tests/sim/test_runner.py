@@ -218,52 +218,38 @@ class TestSweepRunnerStore:
 
 
 class TestWorkerBudget:
-    """Processes go to the pair fan-out; lanes are an explicit opt-in."""
+    """Processes go to the pair fan-out; each pair sweeps on one lane."""
 
     def test_big_jobs_give_processes_to_pairs(self):
         engine = runner.SweepRunner(workers=4)
-        assert engine.worker_budget(runner.MIN_PARALLEL_PAIRS) == (4, 1)
+        assert engine.effective_workers(runner.MIN_PARALLEL_PAIRS) == 4
 
     def test_small_jobs_give_lanes_to_the_pair(self):
-        # A serial job runs each pair on one lane unless stream_workers
-        # opts in: on the small sweeps most jobs run, starting a thread
-        # pool costs more than the lanes save.
+        # A job below MIN_PARALLEL_PAIRS runs in this process, each
+        # pair's sweep on the one lane every sweep runs on.
         engine = runner.SweepRunner(workers=4)
-        assert engine.worker_budget(2) == (1, 1)
-        assert engine.worker_budget(1) == (1, 1)
-        opted = runner.SweepRunner(workers=4, stream_workers=4)
-        assert opted.worker_budget(1) == (1, 4)
+        assert engine.effective_workers(2) == 1
+        assert engine.effective_workers(1) == 1
 
     def test_single_worker_budget_stays_serial(self):
         engine = runner.SweepRunner(workers=1)
-        assert engine.worker_budget(100) == (1, 1)
-
-    def test_pinned_stream_workers_override_both_paths(self):
-        engine = runner.SweepRunner(workers=4, stream_workers=2)
-        assert engine.worker_budget(runner.MIN_PARALLEL_PAIRS) == (4, 2)
-        assert engine.worker_budget(2) == (1, 2)
+        assert engine.effective_workers(100) == 1
 
     def test_stream_workers_validated(self):
-        with pytest.raises(ValueError, match="stream_workers"):
-            runner.SweepRunner(workers=1, stream_workers=0)
-
-    def test_stream_lanes_do_not_change_measurements(self):
+        # Neither a lane count nor a tile budget is a runner argument.
+        for knob in ("stream_workers", "tile_bytes"):
+            with pytest.raises(TypeError, match=knob):
+                runner.SweepRunner(workers=1, **{knob: 2})
         inst = random_subsets(16, 4, 3, seed=3)
-        pair = inst.overlapping_pairs()[0]
-        baseline = runner.SweepRunner(workers=1).measure_pair(
-            inst, "jump-stay", pair, horizon=200_000, dense=8, probes=8
-        )
-        laned = runner.SweepRunner(workers=1, stream_workers=4)
-        assert (
-            laned.measure_pair(
-                inst, "jump-stay", pair, horizon=200_000, dense=8, probes=8
+        with pytest.raises(TypeError, match="stream_workers"):
+            runner.SweepRunner(workers=1).measure_pair(
+                inst, "paper", inst.overlapping_pairs()[0], 60_000,
+                stream_workers=2,
             )
-            == baseline
-        )
 
     def test_measure_instance_budgets_lanes_serially(self):
-        """A small job stays serial on a multi-worker runner, with or
-        without opted-in lanes — and the results stay bit-identical."""
+        """A small job stays serial on a multi-worker runner, and the
+        results stay bit-identical."""
         inst = random_subsets(16, 4, 3, seed=3)  # below MIN_PARALLEL_PAIRS
         serial = runner.SweepRunner(workers=1).measure_instance(
             inst, "paper", horizon=60_000, dense=2, probes=2
@@ -271,10 +257,6 @@ class TestWorkerBudget:
         budgeted = runner.SweepRunner(workers=4).measure_instance(
             inst, "paper", horizon=60_000, dense=2, probes=2
         )
-        laned_serial = runner.SweepRunner(workers=4, stream_workers=2).measure_instance(
-            inst, "paper", horizon=60_000, dense=2, probes=2
-        )
-        assert budgeted == laned_serial
         assert budgeted == serial
 
 
@@ -361,7 +343,9 @@ class TestSweepRunnerCheckpoint:
             "a completed sweep must delete its checkpoint"
         )
 
-    def test_interrupted_measurement_resumes_bit_identical(self, tmp_path):
+    def test_interrupted_measurement_resumes_bit_identical(
+        self, tmp_path, monkeypatch
+    ):
         from repro.core import stream as stream_module
 
         instance = single_overlap(16, 3, 3, seed=2)
@@ -370,12 +354,16 @@ class TestSweepRunnerCheckpoint:
             instance, "paper", pair, 100_000
         )
         ckpt = tmp_path / "ckpt"
+        # 64-byte tiles of one shift row: snapshots land every few
+        # slots, so the death below falls mid-sweep.
+        monkeypatch.setattr(
+            stream_module, "plan_tiles",
+            lambda *args, **kwargs: stream_module.TilePlan(64, block_rows=1),
+        )
         # Inject the interruption at the sink layer: die after two
         # snapshots, exactly like a kill mid-sweep.
         real_sink = stream_module.SweepCheckpoint
-        interrupted = runner.SweepRunner(
-            workers=1, checkpoint_dir=ckpt, tile_bytes=64
-        )
+        interrupted = runner.SweepRunner(workers=1, checkpoint_dir=ckpt)
 
         class Dying(real_sink):
             def save(self, state):
@@ -393,9 +381,9 @@ class TestSweepRunnerCheckpoint:
         finally:
             runner_module.SweepCheckpoint = original
         assert list(ckpt.glob("*.ckpt.json")), "interruption left no snapshot"
-        resumed = runner.SweepRunner(
-            workers=1, checkpoint_dir=ckpt, tile_bytes=64
-        ).measure_pair(instance, "paper", pair, 100_000)
+        resumed = runner.SweepRunner(workers=1, checkpoint_dir=ckpt).measure_pair(
+            instance, "paper", pair, 100_000
+        )
         assert resumed == plain
         assert list(ckpt.glob("*.ckpt.json")) == []
 

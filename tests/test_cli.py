@@ -52,8 +52,8 @@ _SWEEP = {
     "agents": _AGENTS, "algorithm": "paper", "checkpoint_dir": None,
     "command": "sweep", "degradation": None, "dense": 64, "environment": None,
     "horizon": 1000000, "probes": 64, "read_roots": None, "results_dir": None,
-    "resume": False, "store_cap": None, "store_dir": None, "stream_workers": 0,
-    "telemetry": None, "tile_bytes": None, "universe": 64, "workers": 1,
+    "resume": False, "store_cap": None, "store_dir": None, "telemetry": None,
+    "universe": 64, "workers": 1,
 }
 _SERVE = {
     "a": [3, 17, 40], "algorithm": "paper", "as_json": False, "b": [17, 58],
@@ -86,12 +86,6 @@ DOCSTRING_NAMESPACES = {
         "universe": 24, "workload": "whitespace",
     },
     "sweep --agents 3,17,40/17,58/3,58 --universe 64": _SWEEP,
-    "sweep --agents ... --universe 64 --tile-bytes 65536": {
-        **_SWEEP, "tile_bytes": 65536,
-    },
-    "sweep --agents ... --universe 64 --stream-workers 2 --tile-bytes auto": {
-        **_SWEEP, "stream_workers": 2,
-    },
     "sweep --agents ... --universe 64 --store-dir .schedules --store-cap 1000000": {
         **_SWEEP, "store_cap": 1000000, "store_dir": ".schedules",
     },
@@ -569,41 +563,30 @@ class TestWalkCommand:
 
 
 class TestStreamTuningFlags:
-    def test_stream_workers_and_auto_tile_match_default(self, capsys):
-        args = [
-            "sweep", "--agents", "1,5/5,9/1,9", "--universe", "16",
-            "--dense", "4", "--probes", "4",
-        ]
-        assert main(args) == 0
-        default_out = capsys.readouterr().out
-        tuned = args + ["--stream-workers", "2", "--tile-bytes", "auto"]
-        assert main(tuned) == 0
-        tuned_out = capsys.readouterr().out
-        assert "stream workers: 2 per pair" in tuned_out
-        banners = ("tile bytes:", "stream workers:")
-        strip = lambda text: [
-            line for line in text.splitlines() if not line.startswith(banners)
-        ]
-        assert strip(default_out) == strip(tuned_out)
+    """``sweep`` has no lane count or tile budget to set: every value of
+    the two removed flags is an unknown argument."""
 
-    def test_tile_bytes_rejects_garbage(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["sweep", "--agents", "1,2/2,3", "--universe", "8",
-                 "--tile-bytes", "huge"]
-            )
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["sweep", "--agents", "1,2/2,3", "--universe", "8",
-                 "--tile-bytes", "-4"]
-            )
+    ARGS = ["sweep", "--agents", "1,2/2,3", "--universe", "8"]
 
-    def test_stream_workers_rejects_negative(self):
+    def _rejected(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(self.ARGS + [flag, value])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+    def test_tile_bytes_rejects_garbage(self, capsys):
+        for value in ("huge", "-4", "auto", "4096"):
+            self._rejected(capsys, "--tile-bytes", value)
+
+    def test_stream_workers_rejects_negative(self, capsys):
+        for value in ("-2", "2"):
+            self._rejected(capsys, "--stream-workers", value)
+
+    def test_sweep_help_lists_neither_flag(self, capsys):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["sweep", "--agents", "1,2/2,3", "--universe", "8",
-                 "--stream-workers", "-2"]
-            )
+            main(["sweep", "--help"])
+        out = capsys.readouterr().out
+        assert "--stream-workers" not in out and "--tile-bytes" not in out
 
 
 class TestServeCommand:

@@ -96,8 +96,8 @@ class TestDocsExist:
             "Workloads",
             "Theorem 3",
             "SCALAR_JOINT_LIMIT",
-            "stream_workers",
             "plan_tiles",
+            "effective_workers",
             "has_warm_table",
         ):
             assert required in text, f"docs/API.md is missing {required!r}"
@@ -107,10 +107,9 @@ class TestDocsExist:
         for required in (
             "Sweep dispatch",
             "auto-tuned tile plan",
-            "Intra-pair parallelism",
+            "One lane",
+            "Sparse-tile cap",
             "Worker budgeting",
-            "stream-workers",
-            "tile-bytes",
             "sweep shape",
             "SCALAR_JOINT_LIMIT",
             "results-dir",
@@ -119,8 +118,8 @@ class TestDocsExist:
             "bit-identical",
             "Worked invocations",
             "BENCHMARKS.md",
-            "Lanes are an opt-in",
-            "1 lane → 2 lanes",
+            "mmap threshold",
+            "64 KiB tile",
             "BENCH_stream_sweep.json",
             "no warm-table branch",
         ):
@@ -139,13 +138,13 @@ class TestDocsExist:
             "bit-identical",
             "PYTHONHASHSEED",
             "final stdout line",
-            "Thread lanes overlap",
+            "merged worker roots overlap",
             "netsim.simulate",
             "test_telemetry_overhead",
             "TUNING.md",
             "sweep.kernel",
             "sweep.classes",
-            "sweep.lanes",
+            "sweep.block_rows",
         ):
             assert required in text, f"docs/OBSERVABILITY.md is missing {required!r}"
 
