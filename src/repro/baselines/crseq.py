@@ -69,6 +69,8 @@ class CRSEQSchedule(ProjectedSchedule):
         super().__init__(channels, n)
         self.prime = smallest_prime_at_least(n)
         self.period = 3 * self.prime * self.prime
+        # Global ids run over [0, P), past n: they are not reduced mod n.
+        self.id_bound = self.prime
 
     def global_channel(self, t: int) -> int:
         """:func:`crseq_global_channel` at slot ``t``."""

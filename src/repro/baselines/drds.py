@@ -56,7 +56,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from repro.baselines.projection import ProjectedSchedule, project_onto_available
+from repro.baselines.projection import ProjectedSchedule
 
 __all__ = [
     "DRDSSchedule",
@@ -252,11 +252,10 @@ class DRDSSchedule(ProjectedSchedule):
 
     def channel_block(self, start: int, stop: int) -> np.ndarray:
         """A window that does not wrap is one slice of the global
-        sequence, projected: no index array, so a period table costs
-        one pass over the (possibly memmapped) sequence.  Wrapping
-        windows take the gather."""
+        sequence, projected by one table lookup: no index array, so a
+        period table costs one pass over the (possibly memmapped)
+        sequence.  Wrapping windows take the gather."""
         lo = start % self.period
         if start <= stop and lo + (stop - start) <= self.period:
-            raw = self._global[lo : lo + (stop - start)]
-            return project_onto_available(raw, self.sorted_channels)
+            return self._table.take(self._global[lo : lo + (stop - start)])
         return super().channel_block(start, stop)

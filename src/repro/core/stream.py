@@ -561,9 +561,21 @@ def reduce_shifts(
     rather than a sort of structured rows.  ``shifts`` may be a list,
     an int array or a ``range`` (expanded by ``np.arange``, never
     through Python ints).
+
+    A positive-step ``range`` inside the window ``[-(period_B - 1),
+    period_A - 1]`` (every sub-range of
+    :func:`~repro.core.verification.exhaustive_shift_range`) needs no
+    sort: each of its shifts is its own class, with rank ``-s`` for
+    ``s <= 0`` and ``period_B - 1 + s`` above, so the ranks fall, then
+    rise along the range, and the sorted classes are the non-positive
+    part reversed followed by the positive part.
     """
     if isinstance(shifts, range):
         arr = np.arange(shifts.start, shifts.stop, shifts.step, dtype=np.int64)
+        if shifts.step > 0 and shifts and (
+            -b.period < shifts[0] and shifts[-1] < a.period
+        ):
+            return _reduce_window_range(arr)
     else:
         arr = np.asarray(shifts, dtype=np.int64)
     off_a = np.where(arr >= 0, arr, 0) % a.period
@@ -574,6 +586,21 @@ def reduce_shifts(
     upper = ranks >= b.period
     unique_pairs[upper, 0] = ranks[upper] - (b.period - 1)
     unique_pairs[~upper, 1] = ranks[~upper]
+    return unique_pairs, inverse
+
+
+def _reduce_window_range(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`reduce_shifts` of ascending distinct in-window shifts.
+
+    The first ``m`` shifts (``s <= 0``) are the classes ``(0, -s)``,
+    sorted by reversing them; the rest are ``(s, 0)``, already sorted.
+    """
+    m = int(np.searchsorted(arr, 0, side="right"))
+    unique_pairs = np.zeros((arr.size, 2), dtype=np.int64)
+    unique_pairs[:m, 1] = -arr[:m][::-1]
+    unique_pairs[m:, 0] = arr[m:]
+    inverse = np.arange(arr.size, dtype=np.intp)
+    inverse[:m] = np.arange(m - 1, -1, -1)
     return unique_pairs, inverse
 
 

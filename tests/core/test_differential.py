@@ -19,9 +19,11 @@ its integer seed alone:
   reproducible: the failing test's parametrized id *is* the case seed.
 * ``differential_corpus.json`` is the regression corpus: seeds that
   once found bugs (or pin especially gnarly configurations) replay on
-  every run, first, forever.  Each entry records the configuration and
-  algorithm its seed draws, so a change to the generator that silently
-  re-targets a seed fails ``test_corpus_is_well_formed``.
+  every run, first, forever.  Each entry records what its seed draws —
+  engine, algorithm, tile plan, environment family, horizon length and
+  shift count, the properties its note relies on — so a change to the
+  generator that silently re-targets a seed fails
+  ``test_corpus_is_well_formed``.
 """
 
 from __future__ import annotations
@@ -166,15 +168,40 @@ def test_random_differential_case(seed):
     _run_case(seed)
 
 
+def _environment_family(environment) -> str | None:
+    """``None``, one fault kind, or composed kinds joined by ``+``."""
+    if environment is None:
+        return None
+    spec = environment.spec()
+    return "+".join(sorted(part["kind"] for part in spec.get("parts", [spec])))
+
+
+def _corpus_record(seed: int) -> dict:
+    """What a seed draws, in the corpus entries' own fields."""
+    case = _draw_case(random.Random(seed))
+    plan = case["plan"]
+    _, _, shifts, _ = _schedules(case)
+    return {
+        "engine": case["engine"],
+        "algorithm": case["algorithm"],
+        "plan": None if plan is None else {
+            "tile_bytes": plan.tile_bytes, "block_rows": plan.block_rows
+        },
+        "environment": _environment_family(case["environment"]),
+        "horizon": "short" if case["short_horizon"] else "long",
+        "shifts": len(shifts),
+    }
+
+
 def test_corpus_is_well_formed():
     entries = _corpus_entries()
     assert entries, "regression corpus must never be empty"
     for entry in entries:
         assert isinstance(entry["seed"], int)
         assert entry["note"]
-        case = _draw_case(random.Random(entry["seed"]))
-        drawn = (case["engine"], case["algorithm"])
-        assert drawn == (entry["engine"], entry["algorithm"]), (
+        drawn = _corpus_record(entry["seed"])
+        pinned = {key: entry[key] for key in drawn}
+        assert drawn == pinned, (
             f"seed {entry['seed']} now draws {drawn}; its note no longer holds"
         )
     seeds = [entry["seed"] for entry in entries]

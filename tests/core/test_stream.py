@@ -254,6 +254,7 @@ def _shift_inputs(rng, period_a, period_b):
     with_duplicates = drawn.tolist() + drawn[: drawn.size // 2].tolist()
     step = int(rng.integers(2, 9))
     lo = int(rng.integers(-reach, 1))
+    inside = int(rng.integers(-period_b + 1, period_a))
     return [
         with_duplicates,
         [period_a, -period_b, 2 * period_a + 1, -3 * period_b - 1, 0, 0],
@@ -263,6 +264,20 @@ def _shift_inputs(rng, period_a, period_b):
         range(lo, reach, step),
         range(reach, lo, -step),
         range(5, 5),
+        # Positive-step ranges inside the shift window (closed-form
+        # reduction): strided, one sign, one element, on either edge.
+        range(-period_b + 1, period_a, step),
+        range(inside, period_a, step),
+        range(0, period_a),
+        range(1, period_a),
+        range(-period_b + 1, 0),
+        range(-period_b + 1, 1),
+        range(inside, inside + 1),
+        range(-period_b + 1, -period_b + 2),
+        range(period_a - 1, period_a),
+        # One past either edge: back to the sort.
+        range(-period_b, period_a),
+        range(-period_b + 1, period_a + 1),
     ]
 
 
@@ -290,6 +305,32 @@ class TestShiftBookkeeping:
                 shifts, ttrs, inverse
             ) == _reference_scatter(shift_list, ttrs, ref_inverse)
 
+    def test_only_in_window_ranges_skip_the_sort(self, monkeypatch):
+        """The closed form takes positive-step ranges inside
+        ``[-(period_B - 1), period_A - 1]``; every other input sorts."""
+        a, b = CyclicSchedule(list(range(9))), CyclicSchedule(list(range(4)))
+        closed = []
+        original = stream_module._reduce_window_range
+
+        def spy(arr):
+            closed.append(arr.size)
+            return original(arr)
+
+        monkeypatch.setattr(stream_module, "_reduce_window_range", spy)
+        for shifts, takes_closed_form in (
+            (range(-3, 9), True),
+            (range(-3, 9, 4), True),
+            (range(2, 3), True),
+            (range(-4, 9), False),
+            (range(-3, 10), False),
+            (range(8, -4, -1), False),
+            (range(0), False),
+            (list(range(-3, 9)), False),
+        ):
+            closed.clear()
+            stream_module.reduce_shifts(a, b, shifts)
+            assert bool(closed) == takes_closed_form, shifts
+
     @pytest.mark.parametrize("seed", range(4))
     def test_range_sweeps_like_its_list(self, seed):
         """A lazy range and its expanded list give the same profile, on
@@ -306,6 +347,12 @@ class TestShiftBookkeeping:
                 range(-3 * y.period, 3 * x.period, 7),
                 range(x.period, -y.period, -2),
                 range(0),
+                range(-y.period + 1, x.period, 3),
+                range(1, x.period),
+                range(-y.period + 1, 1),
+                range(0, 1),
+                range(x.period - 1, x.period),
+                range(-y.period, x.period + 1),
             ):
                 profile = ttr_sweep(x, y, r, horizon)
                 assert profile == ttr_sweep(x, y, list(r), horizon)
@@ -402,8 +449,10 @@ class TestChannelGather:
         "algorithm", ("paper", "paper-sync", "paper-symmetric") + BASELINE_NAMES
     )
     def test_gather_matches_channel_at(self, algorithm):
-        for n in (16, 33):
-            schedule = repro.build_schedule([1, 5, 9], n, algorithm=algorithm)
+        # crseq@64 plays global ids 64..66 (P = 67) beside the owned
+        # channel 63; a one-channel set projects every id onto itself.
+        for n, channels in ((16, [1, 5, 9]), (33, [1, 5, 9]), (64, [1, 5, 63]), (16, [9])):
+            schedule = repro.build_schedule(channels, n, algorithm=algorithm)
             period = schedule.period
             indices = np.array([[0, 7, 1], [13, 2, period + 5]], dtype=np.int64)
             gathered = schedule.channel_gather(indices)
@@ -413,6 +462,10 @@ class TestChannelGather:
                 for row in indices
             ]
             assert gathered.tolist() == expected
+            head = np.arange(min(period, 600), dtype=np.int64)
+            assert schedule.channel_gather(head).tolist() == [
+                schedule.channel_at(int(t)) for t in head
+            ]
             wrapping = range(period - 7, period + 9)
             assert schedule.channel_block(wrapping.start, wrapping.stop).tolist() == [
                 schedule.channel_at(t % period) for t in wrapping
