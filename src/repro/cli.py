@@ -26,17 +26,18 @@ numbers without writing Python:
 Each subcommand prints plain text; exit code 0 on success, 2 on usage
 errors (argparse convention).
 
-:func:`build_parser` registers every subcommand from one table
-(``_COMMANDS``: help line, add-arguments function, handler), and a
-subcommand's arguments are added when a command line selects it, so
-one ``serve`` query parses ``serve``'s arguments alone.  ``serve``
-reports the result cache's counters, which read no file: a cache hit
-reads its one record and lists no directory.
+:func:`build_parser` registers every subcommand, with its arguments,
+from one table (``_COMMANDS``: help line, add-arguments function,
+handler).  :func:`main` builds that parser once per process, on its
+first call, so a process answering many ``serve`` queries pays for the
+build once.  ``serve`` reports the result cache's counters, which read
+no file: a cache hit reads its one record and lists no directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import time
@@ -142,33 +143,6 @@ def _add_telemetry_arg(parser: argparse.ArgumentParser) -> None:
         "it human-readable, 'json' emits one JSON object as the last "
         "output line; results are identical either way",
     )
-
-
-class _LazyParser(argparse.ArgumentParser):
-    """A subcommand parser that adds its arguments on its first parse.
-
-    :func:`build_parser` registers every subcommand with its help line,
-    but one command line selects one subcommand; the others stay empty,
-    ``-h`` included, so a ``serve`` query builds none of the other
-    eight subcommands' arguments.  ``-h`` is added first, as argparse
-    would, so ``--help`` (which goes through :meth:`parse_known_args`
-    too) and usage errors read as they would with every argument built
-    up front.
-    """
-
-    def __init__(self, *args, add_arguments=None, **kwargs):
-        super().__init__(*args, add_help=False, **kwargs)
-        self._add_arguments = add_arguments
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self._add_arguments is not None:
-            add_arguments, self._add_arguments = self._add_arguments, None
-            self.add_argument(
-                "-h", "--help", action="help", default=argparse.SUPPRESS,
-                help="show this help message and exit",
-            )
-            add_arguments(self)
-        return super().parse_known_args(args, namespace)
 
 
 def _schedule_args(schedule: argparse.ArgumentParser) -> None:
@@ -422,11 +396,7 @@ def _serve_args(serve: argparse.ArgumentParser) -> None:
 
 
 def _store_args(store: argparse.ArgumentParser) -> None:
-    # Built with their arguments once ``store`` is selected, so the
-    # actions use the plain class (and its eager ``-h``).
-    store_sub = store.add_subparsers(
-        dest="action", required=True, parser_class=argparse.ArgumentParser
-    )
+    store_sub = store.add_subparsers(dest="action", required=True)
 
     prewarm = store_sub.add_parser(
         "prewarm", help="store the DRDS global sequence ahead of a sweep"
@@ -456,7 +426,11 @@ def _walk_args(walk: argparse.ArgumentParser) -> None:
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
-    sched = repro.build_schedule(args.channels, args.universe, args.algorithm)
+    try:
+        sched = repro.build_schedule(args.channels, args.universe, args.algorithm)
+    except ValueError as exc:
+        print(f"schedule failed: {exc}")
+        return 1
     slots = [sched.channel_at(t) for t in range(args.slots)]
     print(f"algorithm: {args.algorithm}")
     print(f"channels:  {sorted(set(args.channels))}")
@@ -466,8 +440,12 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
 
 
 def _cmd_rendezvous(args: argparse.Namespace) -> int:
-    a = repro.build_schedule(args.a, args.universe, args.algorithm)
-    b = repro.build_schedule(args.b, args.universe, args.algorithm)
+    try:
+        a = repro.build_schedule(args.a, args.universe, args.algorithm)
+        b = repro.build_schedule(args.b, args.universe, args.algorithm)
+    except ValueError as exc:
+        print(f"rendezvous failed: {exc}")
+        return 1
     common = sorted(a.channels & b.channels)
     print(f"common channels: {common or 'none'}")
     ttr = ttr_for_shift(a, b, args.shift, args.horizon)
@@ -499,14 +477,18 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    agents = [
-        Agent(
-            f"agent{i}",
-            repro.build_schedule(channels, args.universe, args.algorithm),
-            wake_time=args.wake_stagger * i,
-        )
-        for i, channels in enumerate(args.agents)
-    ]
+    try:
+        agents = [
+            Agent(
+                f"agent{i}",
+                repro.build_schedule(channels, args.universe, args.algorithm),
+                wake_time=args.wake_stagger * i,
+            )
+            for i, channels in enumerate(args.agents)
+        ]
+    except ValueError as exc:
+        print(f"simulate failed: {exc}")
+        return 1
     result = Network(agents).run(args.horizon)
     rows = [
         [f"{pair[0]}-{pair[1]}", event.time, event.channel, event.ttr]
@@ -886,12 +868,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.store_dir is not None:
         store = ScheduleStore(args.store_dir, read_roots=args.read_roots or ())
     runner = SweepRunner(workers=1, store=store, results=results)
-    instance = Instance(
-        args.universe, [frozenset(args.a), frozenset(args.b)], "serve"
-    )
     hits_before = results.hits
-    request_start = time.perf_counter()
     try:
+        instance = Instance(
+            args.universe, [frozenset(args.a), frozenset(args.b)], "serve"
+        )
+        request_start = time.perf_counter()
         measured = runner.measure_pair(
             instance,
             args.algorithm,
@@ -1053,26 +1035,38 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The whole ``repro`` command line, every subcommand registered.
+    """A new parser for the whole ``repro`` command line.
 
-    Each subcommand's arguments are added when a command line selects
-    it (:class:`_LazyParser`), so building the parser and parsing one
-    command line pays for that subcommand's arguments alone.
+    Every subcommand is registered with all of its arguments.  Each call
+    builds a fresh parser; :func:`main` builds one per process and
+    parses every command line with it.
     """
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Deterministic blind rendezvous (Chen et al., ICDCS 2014)",
     )
-    sub = parser.add_subparsers(
-        dest="command", required=True, parser_class=_LazyParser
-    )
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, add_arguments, _) in _COMMANDS.items():
-        sub.add_parser(name, help=help_line, add_arguments=add_arguments)
+        add_arguments(sub.add_parser(name, help=help_line))
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's parser, built by the first :func:`main` call.
+
+    ``parse_args`` leaves a parser unchanged, so one parser serves any
+    number of command lines.  It is built on first use rather than at
+    import, which keeps the build out of ``import repro.cli``.
+    """
+    return build_parser()
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Parse arguments and dispatch to the subcommand handler.
+
+    Every call parses with the same parser (:func:`_parser`), so a
+    process that calls ``main`` many times builds it once.
 
     When the subcommand accepts ``--telemetry`` and it was given, the
     process telemetry registry is enabled around the handler and the
@@ -1082,7 +1076,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     reset first and disabled after, so back-to-back ``main`` calls in
     one process never bleed telemetry into each other.
     """
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     _, _, handler = _COMMANDS[args.command]
     mode = getattr(args, "telemetry", None)
     if mode is None:

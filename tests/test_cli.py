@@ -155,7 +155,7 @@ def _subcommand_parsers(parser: argparse.ArgumentParser) -> dict:
     return action.choices
 
 
-class TestLazySubcommands:
+class TestSubcommandParsers:
     def test_docstring_command_lines_parse_as_before(self):
         lines = _docstring_command_lines()
         assert [line for line, _ in lines] == list(DOCSTRING_NAMESPACES)
@@ -165,7 +165,7 @@ class TestLazySubcommands:
                 parsed["environment"] = parsed["environment"].spec()
             assert parsed == DOCSTRING_NAMESPACES[line], line
 
-    def test_serve_parse_builds_only_serve(self):
+    def test_nine_subcommands_in_order_and_serve_options(self):
         parser = build_parser()
         parsers = _subcommand_parsers(parser)
         assert list(parsers) == list(_SUBCOMMANDS)
@@ -173,12 +173,8 @@ class TestLazySubcommands:
             ["serve", "--a", "1,5", "--b", "5,9", "--universe", "16",
              "--results-dir", "cache"]
         )
-        for name, sub in parsers.items():
-            options = [a.dest for a in sub._actions]
-            if name == "serve":
-                assert options[0] == "help" and len(options) == 1 + 13
-            else:
-                assert options == [], name
+        options = [a.dest for a in parsers["serve"]._actions]
+        assert options[0] == "help" and len(options) == 1 + 13
 
     def test_top_level_help_lists_every_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -214,6 +210,120 @@ class TestLazySubcommands:
         err = capsys.readouterr().err
         assert err.startswith("usage: repro serve [-h] --a A --b B")
         assert "the following arguments are required: --b, --universe" in err
+
+
+@pytest.fixture
+def fresh_parser():
+    """Start and end with no parser built in this process."""
+    repro.cli._parser.cache_clear()
+    yield
+    repro.cli._parser.cache_clear()
+
+
+@pytest.mark.usefixtures("fresh_parser")
+class TestSharedParser:
+    """``main`` parses every command line of a process with one parser."""
+
+    SERVE = [
+        "serve", "--a", "1,5,9", "--b", "5,12", "--universe", "16",
+        "--algorithm", "zos", "--dense", "8", "--probes", "8",
+    ]
+
+    def test_main_builds_the_parser_once(self, capsys, tmp_path, monkeypatch):
+        builds = []
+        original = repro.cli.build_parser
+        monkeypatch.setattr(
+            repro.cli, "build_parser", lambda: builds.append(1) or original()
+        )
+        results = ["--results-dir", str(tmp_path / "results")]
+        assert main(["bound", "--k", "3", "--l", "4", "--universe", "64"]) == 0
+        assert main(["schedule", "--channels", "3,7", "--universe", "16"]) == 0
+        assert main(self.SERVE + results) == 0
+        assert main(self.SERVE + results + ["--json"]) == 0
+        assert main(["walk", "--bits", "1101"]) == 0
+        assert builds == [1]
+
+    def test_append_and_store_true_do_not_carry_over(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        namespaces = []
+        help_line, add_arguments, handler = repro.cli._COMMANDS["serve"]
+        monkeypatch.setitem(
+            repro.cli._COMMANDS,
+            "serve",
+            (
+                help_line,
+                add_arguments,
+                lambda args: namespaces.append(vars(args).copy()) or handler(args),
+            ),
+        )
+        results = ["--results-dir", str(tmp_path / "results")]
+        store = ["--store-dir", str(tmp_path / "store")]
+        warm = ["--read-root", str(tmp_path / "warm")]
+        assert main(self.SERVE + results + store + warm + ["--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["source"] == "computed"
+        assert main(self.SERVE + results) == 0
+        assert "source: cache hit" in capsys.readouterr().out
+        first, second = namespaces
+        assert first["read_roots"] == [str(tmp_path / "warm")]
+        assert first["as_json"] is True
+        assert second["read_roots"] is None
+        assert second["as_json"] is False
+        assert second["store_dir"] is None
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [(["serve", "--a", "1,5"], 2), (["serve", "--help"], 0)],
+        ids=["usage-error", "help"],
+    )
+    def test_next_call_answers_after_an_exit(self, capsys, tmp_path, argv, code):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == code
+        capsys.readouterr()
+        assert main(self.SERVE + ["--results-dir", str(tmp_path / "r")]) == 0
+        out, err = capsys.readouterr()
+        assert "source: computed" in out and err == ""
+        assert main(["bound", "--k", "3", "--l", "4", "--universe", "64"]) == 0
+        assert "drds envelope" in capsys.readouterr().out
+
+
+class TestChannelsOutsideUniverse:
+    """A channel outside ``[0, --universe)`` fails like ``sweep`` does:
+    one ``<command> failed: <message>`` line and exit code 1."""
+
+    CASES = {
+        "serve": (
+            ["serve", "--a", "1,2", "--b", "2,40", "--results-dir", "{tmp}/r"],
+            ["set [2, 40] outside universe [0, 16)",
+             "set [1, 2] outside universe [0, 0)"],
+        ),
+        "rendezvous": (
+            ["rendezvous", "--a", "1,2", "--b", "2,40"],
+            ["channels [2, 40] outside universe [0, 16)",
+             "channels [1, 2] outside universe [0, 0)"],
+        ),
+        "schedule": (
+            ["schedule", "--channels", "2,40"],
+            ["channels [2, 40] outside universe [0, 16)",
+             "channels [2, 40] outside universe [0, 0)"],
+        ),
+        "simulate": (
+            ["simulate", "--agents", "1,2/2,40"],
+            ["channels [2, 40] outside universe [0, 16)",
+             "channels [1, 2] outside universe [0, 0)"],
+        ),
+    }
+
+    @pytest.mark.parametrize("command", list(CASES))
+    def test_reports_and_exits_1(self, capsys, tmp_path, command):
+        argv, messages = self.CASES[command]
+        argv = [token.replace("{tmp}", str(tmp_path)) for token in argv]
+        for universe, message in zip(("16", "0"), messages):
+            assert main(argv + ["--universe", universe]) == 1
+            out, err = capsys.readouterr()
+            assert out == f"{command} failed: {message}\n"
+            assert err == ""
 
 
 class TestScheduleCommand:
